@@ -32,6 +32,6 @@ pub mod model;
 pub mod objective;
 pub mod usage;
 
-pub use model::CostModel;
+pub use model::{CostModel, PlanCost};
 pub use objective::Objective;
 pub use usage::ResourceUsage;

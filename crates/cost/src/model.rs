@@ -6,9 +6,12 @@
 //! subtree's largest single-resource usage — the full-overlap assumption
 //! described in the crate docs.
 
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+
 use csqp_catalog::{
-    hybrid_hash_plan, join_memory, sat_u64, Catalog, Estimator, QuerySpec, RelSet, SiteId,
-    SystemConfig,
+    hybrid_hash_plan, join_memory, sat_u64, Catalog, Estimator, HashPlan, QuerySpec, RelSet,
+    SiteId, SystemConfig,
 };
 use csqp_core::{bind, BindContext, BoundPlan, LogicalOp, NodeId, Plan};
 use csqp_net::CONTROL_MSG_BYTES;
@@ -38,12 +41,58 @@ struct NodeCost {
     pre: f64,
     /// Serial seconds to stream the full output thereafter.
     stream: f64,
+    /// Base relations under the node, accumulated bottom-up.
+    rels: RelSet,
+    /// Tuples the node emits to its consumer.
+    tuples: f64,
+    /// Pages the node emits to its consumer.
+    pages: f64,
 }
 
 impl NodeCost {
     fn response(&self) -> f64 {
         (self.pre + self.stream).max(self.usage.bottleneck_seconds())
     }
+}
+
+/// Every objective of one plan, read from a single cost pass.
+///
+/// The optimizer judges a candidate by one objective plus a total-cost
+/// tie-break; both terms come from this record, so a candidate is bound
+/// and costed once.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PlanCost {
+    /// Data pages shipped over the wire (the communication objective).
+    pub pages_sent: f64,
+    /// Estimated seconds until the last tuple is displayed.
+    pub response: f64,
+    /// Total resource seconds consumed (the total-cost objective).
+    pub total_seconds: f64,
+}
+
+impl PlanCost {
+    /// The value of `objective` (lower is better).
+    pub fn get(&self, objective: Objective) -> f64 {
+        match objective {
+            Objective::Communication => self.pages_sent,
+            Objective::ResponseTime => self.response,
+            Objective::TotalCost => self.total_seconds,
+        }
+    }
+}
+
+/// Estimates a cost pass reads again and again while a search prices
+/// thousands of plans over one query. Each entry is computed by the same
+/// expression an uncached read would evaluate, from inputs fixed when the
+/// model was built, so a hit is bit-identical to recomputing. Entries
+/// appear only for the relation sets and inner sizes a search touches.
+#[derive(Debug, Clone, Default)]
+struct EstimateMemo {
+    /// `(tuples, pages)` of the sub-result over a relation set, keyed by
+    /// the set's bits.
+    sizes: BTreeMap<u64, (f64, f64)>,
+    /// Hybrid-hash layout of a join, keyed by its inner page count.
+    hash_plans: BTreeMap<u64, HashPlan>,
 }
 
 /// The cost model for a fixed query / catalog / configuration.
@@ -57,6 +106,7 @@ pub struct CostModel<'a> {
     /// inflated by `1/(1-ρ)`.
     disk_load: Vec<f64>,
     query_site: SiteId,
+    memo: RefCell<EstimateMemo>,
 }
 
 impl<'a> CostModel<'a> {
@@ -75,6 +125,7 @@ impl<'a> CostModel<'a> {
             est: Estimator::new(query, config),
             disk_load: vec![0.0; catalog.num_servers() as usize + 1],
             query_site,
+            memo: RefCell::default(),
         }
     }
 
@@ -93,19 +144,19 @@ impl<'a> CostModel<'a> {
         self.catalog.num_servers() as usize + 1
     }
 
-    /// Evaluate a bound plan under an objective (lower is better).
-    pub fn evaluate_bound(&self, bound: &BoundPlan, objective: Objective) -> f64 {
+    /// Every objective of a bound plan, from one cost pass.
+    pub fn cost_bound(&self, bound: &BoundPlan) -> PlanCost {
         let cost = self.node_cost(bound, bound.plan.root());
-        match objective {
-            Objective::Communication => cost.usage.pages_sent,
-            Objective::ResponseTime => cost.response(),
-            Objective::TotalCost => cost.usage.total_seconds(),
+        PlanCost {
+            pages_sent: cost.usage.pages_sent,
+            response: cost.response(),
+            total_seconds: cost.usage.total_seconds(),
         }
     }
 
-    /// Bind `plan` and evaluate it; `None` when binding fails (annotation
-    /// cycle) — the optimizer treats such plans as unusable.
-    pub fn evaluate_plan(&self, plan: &Plan, objective: Objective) -> Option<f64> {
+    /// Bind `plan` once and cost it once; `None` when binding fails
+    /// (annotation cycle) — the optimizer treats such plans as unusable.
+    pub fn cost_plan(&self, plan: &Plan) -> Option<PlanCost> {
         let bound = bind(
             plan,
             BindContext {
@@ -114,7 +165,18 @@ impl<'a> CostModel<'a> {
             },
         )
         .ok()?;
-        Some(self.evaluate_bound(&bound, objective))
+        Some(self.cost_bound(&bound))
+    }
+
+    /// Evaluate a bound plan under an objective (lower is better).
+    pub fn evaluate_bound(&self, bound: &BoundPlan, objective: Objective) -> f64 {
+        self.cost_bound(bound).get(objective)
+    }
+
+    /// Bind `plan` and evaluate it under an objective; `None` when
+    /// binding fails.
+    pub fn evaluate_plan(&self, plan: &Plan, objective: Objective) -> Option<f64> {
+        Some(self.cost_plan(plan)?.get(objective))
     }
 
     /// The query this model prices.
@@ -142,35 +204,54 @@ impl<'a> CostModel<'a> {
         self.node_cost(bound, bound.plan.root()).usage
     }
 
-    /// Estimated response time of a bound plan, in seconds.
-    pub fn response_time(&self, bound: &BoundPlan) -> f64 {
-        self.node_cost(bound, bound.plan.root()).response()
+    /// The `(tuples, pages)` estimates memoized so far, by relation set
+    /// in ascending bit order. Exposed so tests can check every entry
+    /// against a direct [`Estimator`] read.
+    pub fn memoized_sizes(&self) -> Vec<(RelSet, f64, f64)> {
+        let memo = self.memo.borrow();
+        memo.sizes
+            .iter()
+            .map(|(&bits, &(t, p))| (RelSet(bits), t, p))
+            .collect()
     }
 
-    /// Output of a node as (tuples, pages): scans emit the raw relation;
-    /// everything else emits the estimator's size for its relation set.
-    // `expect("arity")` is an invariant, not an error path: costing only
-    // sees plans inside a `BoundPlan`, and `bind` rejects missing inputs
-    // as `BindError::Malformed` before one can exist.
-    #[allow(clippy::expect_used)]
-    fn output_stats(&self, plan: &Plan, id: NodeId) -> (f64, f64) {
-        match plan.node(id).op {
-            LogicalOp::Scan { rel } => {
-                let r = &self.query.relations[rel.index()];
-                (r.tuples as f64, r.pages(self.config.page_size) as f64)
-            }
-            LogicalOp::Aggregate { groups } => {
-                let child = plan.node(id).children[0].expect("arity");
-                let (in_tuples, _) = self.output_stats(plan, child);
-                let t = (groups as f64).min(in_tuples);
-                let per_page = (self.config.page_size / self.est.tuple_bytes(RelSet::EMPTY)) as f64;
-                (t, (t / per_page).ceil())
-            }
-            _ => {
-                let rels = plan.rel_set(id);
-                (self.est.tuples(rels), self.est.pages(rels))
-            }
+    /// The hybrid-hash layouts memoized so far, by inner page count.
+    /// Exposed so tests can check every entry against a direct
+    /// [`hybrid_hash_plan`] call.
+    pub fn memoized_hash_plans(&self) -> Vec<(u64, HashPlan)> {
+        let memo = self.memo.borrow();
+        memo.hash_plans
+            .iter()
+            .map(|(&pages, hp)| (pages, hp.clone()))
+            .collect()
+    }
+
+    /// Estimated `(tuples, pages)` of the sub-result over `rels`.
+    fn sizes(&self, rels: RelSet) -> (f64, f64) {
+        let hit = self.memo.borrow().sizes.get(&rels.0).copied();
+        if let Some(sizes) = hit {
+            return sizes;
         }
+        let sizes = (self.est.tuples(rels), self.est.pages(rels));
+        self.memo.borrow_mut().sizes.insert(rels.0, sizes);
+        sizes
+    }
+
+    /// Hybrid-hash layout of a join over an `in_pages`-page inner, with
+    /// the buffer grant of the configured allocation policy. The key is
+    /// `⌈in_pages⌉` saturated to `u64`; the planner's input is that key
+    /// floored at one page, which equals the saturated `max(⌈in_pages⌉,
+    /// 1)` for every float, NaN and infinities included.
+    fn hash_plan(&self, in_pages: f64) -> HashPlan {
+        let inner = sat_u64(in_pages.ceil());
+        let hit = self.memo.borrow().hash_plans.get(&inner).cloned();
+        if let Some(hp) = hit {
+            return hp;
+        }
+        let mem = join_memory(self.config, inner);
+        let hp = hybrid_hash_plan(inner.max(1), mem, self.config.fudge);
+        self.memo.borrow_mut().hash_plans.insert(inner, hp.clone());
+        hp
     }
 
     /// Seconds of disk time at `site` for `pages` at `per_page_ms`,
@@ -194,8 +275,14 @@ impl<'a> CostModel<'a> {
         u.add_cpu(to, pages * cpu);
     }
 
-    // `expect("arity")` as in `output_stats`: `bind` already rejected
-    // plans with missing inputs, so every child slot here is occupied.
+    /// Cost the subtree under `id` in one bottom-up pass. Besides usage
+    /// and timing, each node reports its relation set and output size, so
+    /// its consumer reads them instead of re-walking the subtree: scans
+    /// emit the raw relation, aggregates `min(groups, input)` tuples, and
+    /// every other operator the estimator's size for its relation set.
+    // `expect("arity")` is an invariant, not an error path: costing only
+    // sees plans inside a `BoundPlan`, and `bind` rejects missing inputs
+    // as `BindError::Malformed` before one can exist.
     #[allow(clippy::expect_used)]
     fn node_cost(&self, bound: &BoundPlan, id: NodeId) -> NodeCost {
         let plan = &bound.plan;
@@ -208,9 +295,10 @@ impl<'a> CostModel<'a> {
         #[allow(unused_assignments)]
         let mut stream = 0.0f64;
 
-        match n.op {
+        let (rels, (tuples, pages)) = match n.op {
             LogicalOp::Scan { rel } => {
-                let (_, pages) = self.output_stats(plan, id);
+                let r = &self.query.relations[rel.index()];
+                let pages = r.pages(cfg.page_size) as f64;
                 let primary = self.catalog.primary_site(rel);
                 if site == primary {
                     // Local sequential scan at the server.
@@ -250,11 +338,12 @@ impl<'a> CostModel<'a> {
                         stream += faulted * round_trip;
                     }
                 }
+                (RelSet::single(rel), (r.tuples as f64, pages))
             }
             LogicalOp::Select { rel } => {
                 let child = n.children[0].expect("arity");
                 let c = self.node_cost(bound, child);
-                let (in_tuples, in_pages) = self.output_stats(plan, child);
+                let (in_tuples, in_pages) = (c.tuples, c.pages);
                 self.transfer(&mut u, bound.site(child), site, in_pages);
                 let cmp = in_tuples * cfg.cpu_secs(cfg.compare_inst);
                 u.add_cpu(site, cmp);
@@ -268,15 +357,19 @@ impl<'a> CostModel<'a> {
                 // input's I/O unless it dominates.
                 stream = c.stream.max(cmp + mv);
                 u.merge(&c.usage);
+                let rels = RelSet::single(rel).union(c.rels);
+                (rels, self.sizes(rels))
             }
             LogicalOp::Join => {
                 let (ci, co) = (n.children[0].expect("arity"), n.children[1].expect("arity"));
                 let inner = self.node_cost(bound, ci);
                 let outer = self.node_cost(bound, co);
-                let (in_tuples, in_pages) = self.output_stats(plan, ci);
-                let (out_tuples_probe, out_pages_probe) = self.output_stats(plan, co);
+                let (in_tuples, in_pages) = (inner.tuples, inner.pages);
+                let (out_tuples_probe, out_pages_probe) = (outer.tuples, outer.pages);
                 self.transfer(&mut u, bound.site(ci), site, in_pages);
                 self.transfer(&mut u, bound.site(co), site, out_pages_probe);
+                let rels = inner.rels.union(outer.rels);
+                let (res_tuples, res_pages) = self.sizes(rels);
 
                 let tuple_bytes = self.est.tuple_bytes(RelSet::EMPTY);
                 let move_cpu = cfg.cpu_secs(cfg.move_tuple_instr(tuple_bytes));
@@ -286,13 +379,11 @@ impl<'a> CostModel<'a> {
                 // Build + probe CPU.
                 let build_cpu = in_tuples * (hash_cpu + move_cpu);
                 u.add_cpu(site, build_cpu);
-                let res_tuples = self.est.tuples(plan.rel_set(id));
                 let probe_cpu = out_tuples_probe * (hash_cpu + cmp_cpu) + res_tuples * move_cpu;
                 u.add_cpu(site, probe_cpu);
 
                 // Hybrid-hash spill I/O (Shapiro, §3.2.2).
-                let mem = join_memory(cfg, sat_u64(in_pages.ceil()));
-                let hp = hybrid_hash_plan(sat_u64(in_pages.ceil().max(1.0)), mem, cfg.fudge);
+                let hp = self.hash_plan(in_pages);
                 let mut partition_serial = 0.0;
                 if hp.spill_partitions > 0 {
                     let spill_frac = hp.spilled_inner_pages as f64 / in_pages.max(1.0);
@@ -314,42 +405,49 @@ impl<'a> CostModel<'a> {
                 stream = outer.stream.max(probe_cpu) + partition_serial;
                 u.merge(&inner.usage);
                 u.merge(&outer.usage);
+                (rels, (res_tuples, res_pages))
             }
             LogicalOp::Aggregate { groups } => {
                 let child = n.children[0].expect("arity");
                 let c = self.node_cost(bound, child);
-                let (in_tuples, in_pages) = self.output_stats(plan, child);
+                let (in_tuples, in_pages) = (c.tuples, c.pages);
                 self.transfer(&mut u, bound.site(child), site, in_pages);
                 // Hash-based grouping: hash every input tuple, move every
                 // output group tuple.
                 let out_tuples = (groups as f64).min(in_tuples);
+                let tuple_bytes = self.est.tuple_bytes(RelSet::EMPTY);
                 let agg_cpu = in_tuples * cfg.cpu_secs(cfg.hash_inst)
-                    + out_tuples
-                        * cfg.cpu_secs(cfg.move_tuple_instr(self.est.tuple_bytes(RelSet::EMPTY)));
+                    + out_tuples * cfg.cpu_secs(cfg.move_tuple_instr(tuple_bytes));
                 u.add_cpu(site, agg_cpu);
                 // Blocking: the aggregate consumes its whole input before
                 // emitting anything.
                 pre = c.pre + c.stream.max(agg_cpu);
                 stream = 0.0;
                 u.merge(&c.usage);
+                let per_page = (cfg.page_size / tuple_bytes) as f64;
+                (c.rels, (out_tuples, (out_tuples / per_page).ceil()))
             }
             LogicalOp::Display => {
                 let child = n.children[0].expect("arity");
                 let c = self.node_cost(bound, child);
-                let (tuples, pages) = self.output_stats(plan, child);
-                self.transfer(&mut u, bound.site(child), site, pages);
-                let disp = tuples * cfg.cpu_secs(cfg.display_inst);
+                self.transfer(&mut u, bound.site(child), site, c.pages);
+                let disp = c.tuples * cfg.cpu_secs(cfg.display_inst);
                 u.add_cpu(site, disp);
                 pre = c.pre;
                 stream = c.stream.max(disp);
                 u.merge(&c.usage);
+                // The root has no consumer; it passes its input through.
+                (c.rels, (c.tuples, c.pages))
             }
-        }
+        };
 
         NodeCost {
             usage: u,
             pre,
             stream,
+            rels,
+            tuples,
+            pages,
         }
     }
 }

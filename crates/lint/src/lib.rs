@@ -365,6 +365,11 @@ pub const ALLOWLIST: &[Allow] = &[
               points; single-threaded, never served",
     },
     Allow {
+        path: "crates/optimizer/src/cost_wall.rs",
+        rule: RuleKind::CatalogMutation,
+        why: "test-only wall builds one fixture catalog per grid cell",
+    },
+    Allow {
         path: "crates/optimizer/src/exhaustive.rs",
         rule: RuleKind::CatalogMutation,
         why: "test catalogs for cross-checking planners",

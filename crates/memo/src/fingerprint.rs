@@ -16,13 +16,21 @@ use csqp_workload::WorkloadSpec;
 
 /// 64-bit FNV-1a over `bytes` starting from `basis`.
 #[inline]
-fn fnv1a64(basis: u64, bytes: &[u8]) -> u64 {
+fn fnv1a_from(basis: u64, bytes: &[u8]) -> u64 {
     let mut h = basis;
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
+}
+
+/// Standard 64-bit FNV-1a over `bytes`: the workspace's one deterministic
+/// byte mixer. Memo fingerprints, serving seeds (re-exported as
+/// `csqp_serve::server::fnv1a`) and reply digests all hash with it.
+#[inline]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_from(FNV_BASIS_A, bytes)
 }
 
 /// Standard FNV-1a 64 offset basis.
@@ -39,7 +47,7 @@ impl Fingerprint {
     /// Hash a preimage.
     pub fn of(preimage: &Preimage) -> Fingerprint {
         let bytes = preimage.bytes();
-        Fingerprint([fnv1a64(FNV_BASIS_A, bytes), fnv1a64(FNV_BASIS_B, bytes)])
+        Fingerprint([fnv1a(bytes), fnv1a_from(FNV_BASIS_B, bytes)])
     }
 
     /// Derive a deterministic RNG seed from this fingerprint and a
@@ -496,6 +504,13 @@ mod tests {
             Annotation::InnerRel,
             Annotation::PrimaryCopy,
         )
+    }
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

@@ -194,13 +194,21 @@ const REPLY_FAULT_SALT: u64 = 0x5250_4C59_464C_5421; // "RPLYFLT!"
 /// the request-path and reply-path schedules.
 const CATALOG_FAULT_SALT: u64 = 0x4341_5446_4C54_5A21; // "CATFLTZ!"
 
-/// FNV-1a over a byte slice — the same mixing the serving layer uses for
-/// per-query seeds, duplicated here so `csqp-net` stays dependency-light.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// Multiplier of [`fault_mix`]. It is *not* the FNV-1a prime
+/// `0x100_0000_01b3`: it carries one extra hex zero. Every seeded fault
+/// schedule and the pinned chaos goldens derive from this value, so it
+/// stays as it is.
+const FAULT_MIX_MULTIPLIER: u64 = 0x1000_0000_01b3;
+
+/// FNV-1a-shaped byte mixer for fault-schedule seeds: the FNV offset
+/// basis and xor-then-multiply loop, but with [`FAULT_MIX_MULTIPLIER`]
+/// instead of the FNV prime, so it is not interchangeable with the
+/// serving layer's `fnv1a`.
+fn fault_mix(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FAULT_MIX_MULTIPLIER);
     }
     h
 }
@@ -209,7 +217,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// on that exchange.
 ///
 /// The plan is a pure function of its master seed: deriving the per-query
-/// RNG from `fnv1a(seed ‖ client ‖ index)` makes every exchange's fault
+/// RNG from `fault_mix(seed ‖ client ‖ index)` makes every exchange's fault
 /// independent of how many queries ran before it, so schedules are stable
 /// under retries and reordering.
 #[derive(Debug, Clone, Copy)]
@@ -245,7 +253,7 @@ impl FaultPlan {
         bytes[..8].copy_from_slice(&self.master_seed.to_be_bytes());
         bytes[8..16].copy_from_slice(&client.to_be_bytes());
         bytes[16..].copy_from_slice(&index.to_be_bytes());
-        SimRng::seed_from_u64(fnv1a(&bytes))
+        SimRng::seed_from_u64(fault_mix(&bytes))
     }
 
     /// The fault injected on exchange `index` of connection `client`.
@@ -271,7 +279,7 @@ impl FaultPlan {
         bytes[..8].copy_from_slice(&self.master_seed.to_be_bytes());
         bytes[8..16].copy_from_slice(&REPLY_FAULT_SALT.to_be_bytes());
         bytes[16..].copy_from_slice(&query_seed.to_be_bytes());
-        SimRng::seed_from_u64(fnv1a(&bytes))
+        SimRng::seed_from_u64(fault_mix(&bytes))
     }
 
     /// The fault the server injects on its reply to the query whose
@@ -293,7 +301,7 @@ impl FaultPlan {
         bytes[..8].copy_from_slice(&self.master_seed.to_be_bytes());
         bytes[8..16].copy_from_slice(&CATALOG_FAULT_SALT.to_be_bytes());
         bytes[16..].copy_from_slice(&query_seed.to_be_bytes());
-        SimRng::seed_from_u64(fnv1a(&bytes))
+        SimRng::seed_from_u64(fault_mix(&bytes))
     }
 
     /// The fault injected on the catalog-replica refresh serving the
@@ -430,6 +438,19 @@ impl<S: Write> Write for FaultyStream<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fault_mix_output_is_pinned() {
+        // Fault schedules are seeded from these values; a change here
+        // moves every chaos golden.
+        assert_eq!(fault_mix(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fault_mix(b"a"), 0xaf74_d84c_8601_ec8c);
+        assert_eq!(fault_mix(b"foobar"), 0xf8ac_2471_f739_67e8);
+        let bytes: Vec<u8> = (0..16).collect();
+        assert_eq!(fault_mix(&bytes), 0x3ed5_1c94_7785_1775);
+        // Not FNV-1a: the standard digest of "a" is 0xaf63dc4c8601ec8c.
+        assert_ne!(fault_mix(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
 
     #[test]
     fn schedule_is_deterministic_per_seed() {

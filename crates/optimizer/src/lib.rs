@@ -32,6 +32,9 @@ pub mod random;
 pub mod search;
 pub mod twostep;
 
+#[cfg(test)]
+mod cost_wall;
+
 pub use dp::dp_join_order;
 pub use exhaustive::exhaustive_optimum;
 pub use moves::MoveSet;

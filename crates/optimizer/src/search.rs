@@ -145,16 +145,16 @@ impl<'a> Optimizer<'a> {
     /// The full-overlap response-time model leaves many plans tied; a
     /// small total-cost term breaks those ties towards plans that do
     /// less work (which is also what the simulator rewards).
-    fn eval(&self, plan: &Plan, evals: &mut u64) -> Option<f64> {
+    ///
+    /// Both terms are read from one [`csqp_cost::PlanCost`], so each
+    /// candidate is bound and costed once.
+    pub(crate) fn eval(&self, plan: &Plan, evals: &mut u64) -> Option<f64> {
         *evals += 1;
-        let primary = self.model.evaluate_plan(plan, self.objective)?;
+        let cost = self.model.cost_plan(plan)?;
+        let primary = cost.get(self.objective);
         Some(match self.objective {
-            Objective::Communication => {
-                primary + 1e-2 * self.model.evaluate_plan(plan, Objective::TotalCost)?
-            }
-            Objective::ResponseTime => {
-                primary + 1e-3 * self.model.evaluate_plan(plan, Objective::TotalCost)?
-            }
+            Objective::Communication => primary + 1e-2 * cost.total_seconds,
+            Objective::ResponseTime => primary + 1e-3 * cost.total_seconds,
             Objective::TotalCost => primary,
         })
     }

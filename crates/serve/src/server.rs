@@ -47,15 +47,9 @@ use crate::proto::{
 };
 
 /// FNV-1a over a byte string; the deterministic mixer used for catalog
-/// and compile seeds.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
+/// and compile seeds. Re-exported from the memo crate, which holds the
+/// workspace's one implementation.
+pub use csqp_memo::fingerprint::fnv1a;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -639,7 +633,11 @@ impl QueryService {
             _ => (req.policy, None, None),
         };
 
-        let mut catalog = self.catalog_for(&req.spec);
+        // The hosted placement, built once per request: the exact declared
+        // cache lands on `catalog`, while two-step site selection plans on
+        // its own copy of the placement with bucketed fractions.
+        let placement = self.catalog_for(&req.spec);
+        let mut catalog = placement.clone();
         // Every relation must hold a primary copy before planning ever
         // asks for one: `Catalog::primary_site` panics on an unplaced
         // relation, and a panic here would take the whole worker thread.
@@ -730,7 +728,7 @@ impl QueryService {
                     } else {
                         CacheBuckets::quantize(&req.cache)
                     };
-                    let mut planning_catalog = self.catalog_for(&req.spec);
+                    let mut planning_catalog = placement.clone();
                     for (rel_index, fraction) in buckets.planning_fractions() {
                         if (rel_index as usize) < query.relations.len() {
                             planning_catalog.set_cached_fraction(

@@ -74,7 +74,7 @@ pub fn check_cost_invariants(
     let usage = model.usage(&bound);
     out.extend(check_usage(&usage));
 
-    let response = model.response_time(&bound);
+    let response = model.cost_bound(&bound).response;
     let total = usage.total_seconds();
     if response > total * (1.0 + REL_EPS) {
         out.push(Diagnostic::new(

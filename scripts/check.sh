@@ -91,6 +91,10 @@ done
 echo "==> bench-serve: pinned closed-loop QPS/latency gate (BENCH_serve.json)"
 cargo run --release --bin csqp-load -- --serve --bench-serve --clients 4 --queries 64 --seed 42 --min-qps 25
 
+echo "==> benchmark-smoke: loopback benchmark at 1/20 scale + its unit tests"
+cargo run --release --manifest-path csqp-benchmark/Cargo.toml -- --smoke
+cargo test --release --manifest-path csqp-benchmark/Cargo.toml
+
 echo "==> cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 

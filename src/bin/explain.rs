@@ -213,11 +213,10 @@ fn main() {
     )
     .unwrap_or_else(|e| die(&format!("plan does not bind: {e}")));
     println!("\nbound: {}", bound.render());
+    let est = model.cost_bound(&bound);
     println!(
         "estimates: {:.3} s response | {:.0} pages | {:.3} s total work",
-        model.evaluate_bound(&bound, Objective::ResponseTime),
-        model.evaluate_bound(&bound, Objective::Communication),
-        model.evaluate_bound(&bound, Objective::TotalCost),
+        est.response, est.pages_sent, est.total_seconds,
     );
 
     let mut builder = ExecutionBuilder::new(&query, &catalog, &sys).with_seed(a.seed);
