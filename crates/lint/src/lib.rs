@@ -244,7 +244,7 @@ pub const ALLOWLIST: &[Allow] = &[
         why: "the workspace's single syscall-binding module: poll(2), \
               epoll(7), and rlimit shims declared against the already- \
               linked C library, wrapped in safe Reactor/Waker APIs and \
-              exercised by backend-equivalence tests",
+              exercised by the reactor contract test",
     },
     // ---- hash-iter-order: uses whose ordering provably cannot leak ----
     Allow {

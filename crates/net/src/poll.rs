@@ -11,25 +11,26 @@
 //! pair so other threads can interrupt a sleeping reactor, and the raw
 //! [`poll_fds`]/[`PollFd`] primitives the portable backend is built on.
 //!
-//! Choosing a backend: [`Backend::Poll`] is the portable fallback — one
-//! `poll(2)` sweep per iteration, O(registered descriptors) in both user
-//! and kernel time, perfectly adequate up to a few thousand sockets per
-//! shard. [`Backend::Epoll`] (Linux only, the default there) keeps
-//! interest registered in the kernel across iterations and caches each
-//! descriptor's interest in user space, issuing `epoll_ctl` **only when
-//! a session's computed interest actually changes** — so an idle session
-//! costs zero syscalls per iteration and `epoll_wait` returns in
-//! O(ready) rather than O(registered). That interest cache is what
-//! retires the old objection that the engine "re-registers interest on
-//! every loop iteration anyway": it still *recomputes* interest each
-//! time a session steps, but recomputation is a cached comparison, not a
-//! syscall.
+//! The backend is fixed at build time by the target OS:
+//! [`PlatformReactor`] is [`EpollReactor`] on Linux and [`PollReactor`]
+//! everywhere else. There is no runtime switch, because the two do the
+//! same work and only their wait cost differs. [`PollReactor`] sweeps
+//! every registered descriptor in one `poll(2)` call per wait, so a
+//! wakeup costs O(registered) in user and kernel time. [`EpollReactor`]
+//! keeps interest registered in the kernel across waits and caches each
+//! descriptor's interest in user space. It issues `epoll_ctl` **only
+//! when a session's computed interest actually changes**, so an idle
+//! session costs no syscall per iteration and `epoll_wait` returns in
+//! O(ready). With one ready session among N idle ones, a poll wakeup
+//! took ≈0.6 ms at N = 2,000 and ≈3 ms at N = 9,000, against under
+//! 1 µs for epoll (DESIGN.md §15.1). [`PollReactor`] stays compiled on Linux
+//! too: it is the only backend off Linux, and the contract test below
+//! runs on both.
 //!
 //! # The `Reactor` contract
 //!
-//! Implementations agree on these semantics, and the serve-layer
-//! equivalence suites hold both backends to byte-identical wire
-//! behavior:
+//! Implementations agree on these semantics, and one generic unit test
+//! (`reactor_contract`) holds both backends to them:
 //!
 //! - **Spurious wakeups are allowed.** [`Reactor::wait`] may report a
 //!   descriptor that then yields `WouldBlock`; callers must treat
@@ -256,101 +257,17 @@ pub trait Reactor: Send {
 
     /// Cumulative syscall counters for this reactor instance.
     fn stats(&self) -> ReactorStats;
-
-    /// Which backend this reactor is.
-    fn backend(&self) -> Backend;
 }
 
-/// Which readiness backend a reactor uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// Portable `poll(2)` sweep: O(registered) per wait, zero kernel
-    /// state between waits.
-    Poll,
-    /// Linux `epoll(7)`: kernel-resident interest with a user-space
-    /// interest cache, O(ready) per wait.
-    Epoll,
-}
+/// The reactor the serving engine drives on this target: [`EpollReactor`]
+/// on Linux.
+#[cfg(target_os = "linux")]
+pub type PlatformReactor = EpollReactor;
 
-impl Backend {
-    /// The default backend for the host this binary was compiled for:
-    /// `epoll` on Linux, `poll` everywhere else.
-    pub fn default_for_host() -> Backend {
-        if cfg!(target_os = "linux") {
-            Backend::Epoll
-        } else {
-            Backend::Poll
-        }
-    }
-
-    /// Every backend this host supports, portable fallback first.
-    pub fn all_supported() -> &'static [Backend] {
-        if cfg!(target_os = "linux") {
-            &[Backend::Poll, Backend::Epoll]
-        } else {
-            &[Backend::Poll]
-        }
-    }
-
-    /// Parse a command-line / environment spelling.
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "poll" => Some(Backend::Poll),
-            "epoll" => Some(Backend::Epoll),
-            _ => None,
-        }
-    }
-
-    /// The canonical spelling accepted by [`Backend::parse`].
-    pub fn name(self) -> &'static str {
-        match self {
-            Backend::Poll => "poll",
-            Backend::Epoll => "epoll",
-        }
-    }
-
-    /// The `CSQP_REACTOR` environment override, if set and valid.
-    pub fn from_env() -> Option<Backend> {
-        std::env::var("CSQP_REACTOR").ok().and_then(|v| {
-            let b = Backend::parse(&v);
-            assert!(b.is_some(), "CSQP_REACTOR must be `poll` or `epoll`: {v}");
-            b
-        })
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The backends a test suite should parameterize over: the
-/// `CSQP_REACTOR` override if set, otherwise every backend this host
-/// supports. The serve-layer equivalence suites loop over this so one
-/// `cargo test` run proves both backends (and CI can pin either).
-pub fn test_backends() -> Vec<Backend> {
-    match Backend::from_env() {
-        Some(b) => vec![b],
-        None => Backend::all_supported().to_vec(),
-    }
-}
-
-/// Construct a reactor for `backend`. Requesting [`Backend::Epoll`] off
-/// Linux fails with `Unsupported` rather than silently downgrading, so
-/// a misconfigured deployment is loud.
-pub fn new_reactor(backend: Backend) -> io::Result<Box<dyn Reactor>> {
-    match backend {
-        Backend::Poll => Ok(Box::new(PollReactor::new())),
-        #[cfg(target_os = "linux")]
-        Backend::Epoll => Ok(Box::new(EpollReactor::new()?)),
-        #[cfg(not(target_os = "linux"))]
-        Backend::Epoll => Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "epoll reactor requires Linux; use --reactor poll",
-        )),
-    }
-}
+/// The reactor the serving engine drives on this target: [`PollReactor`]
+/// off Linux.
+#[cfg(not(target_os = "linux"))]
+pub type PlatformReactor = PollReactor;
 
 /// The portable backend: an interest table swept by one `poll(2)` call
 /// per wait. A `BTreeMap` keeps the sweep order deterministic (and keeps
@@ -362,19 +279,15 @@ pub struct PollReactor {
 }
 
 impl PollReactor {
-    /// An empty reactor; registration populates the table.
-    pub fn new() -> PollReactor {
-        PollReactor {
+    /// An empty reactor; registration populates the table. Never fails;
+    /// the `io::Result` matches [`EpollReactor::new`] so either type can
+    /// stand behind [`PlatformReactor`].
+    pub fn new() -> io::Result<PollReactor> {
+        Ok(PollReactor {
             interests: BTreeMap::new(),
             scratch: Vec::new(),
             stats: ReactorStats::default(),
-        }
-    }
-}
-
-impl Default for PollReactor {
-    fn default() -> PollReactor {
-        PollReactor::new()
+        })
     }
 }
 
@@ -415,10 +328,6 @@ impl Reactor for PollReactor {
 
     fn stats(&self) -> ReactorStats {
         self.stats
-    }
-
-    fn backend(&self) -> Backend {
-        Backend::Poll
     }
 }
 
@@ -592,10 +501,6 @@ impl Reactor for EpollReactor {
 
     fn stats(&self) -> ReactorStats {
         self.stats
-    }
-
-    fn backend(&self) -> Backend {
-        Backend::Epoll
     }
 }
 
@@ -796,86 +701,103 @@ mod tests {
         assert_eq!(raise_nofile_limit().expect("rlimit again"), lim);
     }
 
-    #[test]
-    fn backend_parses_and_defaults() {
-        assert_eq!(Backend::parse("poll"), Some(Backend::Poll));
-        assert_eq!(Backend::parse("epoll"), Some(Backend::Epoll));
-        assert_eq!(Backend::parse("kqueue"), None);
-        assert_eq!(Backend::Poll.name(), "poll");
-        assert_eq!(Backend::Epoll.name(), "epoll");
-        let default = Backend::default_for_host();
-        assert!(Backend::all_supported().contains(&default));
-        for &b in Backend::all_supported() {
-            let r = new_reactor(b).expect("supported backend constructs");
-            assert_eq!(r.backend(), b);
-        }
+    /// The [`Reactor`] contract, checked against one backend. Each stage
+    /// takes a fresh reactor from `new`; the counters of the last stage
+    /// are returned so callers can pin backend-specific syscall counts.
+    fn check_contract<R: Reactor>(name: &str, new: fn() -> io::Result<R>) -> ReactorStats {
+        // A TCP pair is quiet, then readable on bytes, then readable on
+        // EOF, always under the registered token.
+        let mut reactor = new().expect("reactor");
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let mut client = TcpStream::connect(addr).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        server.set_nonblocking(true).expect("nonblocking");
+        let fd = server.as_raw_fd();
+        reactor.register(fd, 7, Interest::READ).expect("register");
+        let mut events = Vec::new();
+        let n = reactor
+            .wait(Duration::from_millis(5), &mut events)
+            .expect("wait");
+        assert_eq!(n, 0, "{name}: quiet socket reported ready");
+        client.write_all(b"ping").expect("write");
+        let n = reactor
+            .wait(Duration::from_secs(5), &mut events)
+            .expect("wait");
+        assert_eq!(n, 1, "{name}: bytes must wake the reactor");
+        assert_eq!(events[0].token(), 7);
+        assert!(events[0].readable(), "{name}: bytes are readable");
+        drop(client);
+        let n = reactor
+            .wait(Duration::from_secs(5), &mut events)
+            .expect("wait");
+        assert_eq!(n, 1, "{name}: hangup must wake the reactor");
+        assert!(events[0].readable(), "{name}: EOF counts as readable");
+        reactor.deregister(fd).expect("deregister");
+
+        // Hangup surfaces with no registered interest at all. A dropped
+        // `UnixStream` peer closes both directions, which is what raises
+        // a true `POLLHUP`; a TCP FIN half-close only makes the socket
+        // readable.
+        let mut reactor = new().expect("reactor");
+        let (local, peer) = UnixStream::pair().expect("pair");
+        local.set_nonblocking(true).expect("nonblocking");
+        reactor
+            .register(local.as_raw_fd(), 1, Interest::new(false, false))
+            .expect("register");
+        drop(peer);
+        let n = reactor
+            .wait(Duration::from_secs(5), &mut events)
+            .expect("wait");
+        assert_eq!(n, 1, "{name}: hangup must be reported unregistered");
+        assert!(events[0].hangup() || events[0].readable());
+
+        // After `deregister`, an open and readable descriptor goes silent.
+        let mut reactor = new().expect("reactor");
+        let (a, mut b) = UnixStream::pair().expect("pair");
+        a.set_nonblocking(true).expect("nonblocking");
+        reactor
+            .register(a.as_raw_fd(), 9, Interest::READ)
+            .expect("register");
+        b.write_all(b"x").expect("write");
+        let n = reactor
+            .wait(Duration::from_secs(5), &mut events)
+            .expect("wait");
+        assert_eq!(n, 1, "{name}: registered fd reports data");
+        reactor.deregister(a.as_raw_fd()).expect("deregister");
+        let n = reactor
+            .wait(Duration::from_millis(20), &mut events)
+            .expect("wait");
+        assert_eq!(n, 0, "{name}: deregistered fd must go silent");
+
+        // The counters track waits and dispatched events.
+        let mut reactor = new().expect("reactor");
+        let (a, mut b) = UnixStream::pair().expect("pair");
+        a.set_nonblocking(true).expect("nonblocking");
+        reactor
+            .register(a.as_raw_fd(), 1, Interest::READ)
+            .expect("register");
+        reactor
+            .wait(Duration::from_millis(1), &mut events)
+            .expect("idle wait");
+        b.write_all(b"x").expect("write");
+        reactor
+            .wait(Duration::from_secs(5), &mut events)
+            .expect("busy wait");
+        let stats = reactor.stats();
+        assert_eq!(stats.wait_calls, 2, "{name}");
+        assert_eq!(stats.events_dispatched, 1, "{name}");
+        stats
     }
 
-    /// Every supported backend reports the same readiness story for a
-    /// TCP pair: quiet, then readable on bytes, then readable on EOF —
-    /// the reactor-level kernel of the serve-layer equivalence suites.
+    /// Both backends keep the [`Reactor`] contract: the single
+    /// backend-equivalence check, run wherever both compile.
     #[test]
-    fn reactors_agree_on_tcp_readiness_and_hangup() {
-        for &backend in Backend::all_supported() {
-            let mut reactor = new_reactor(backend).expect("reactor");
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-            let addr = listener.local_addr().expect("addr");
-            let mut client = TcpStream::connect(addr).expect("connect");
-            let (server, _) = listener.accept().expect("accept");
-            server.set_nonblocking(true).expect("nonblocking");
-            let fd = server.as_raw_fd();
-            reactor.register(fd, 7, Interest::READ).expect("register");
-
-            let mut events = Vec::new();
-            // Nothing sent yet: not readable.
-            let n = reactor
-                .wait(Duration::from_millis(5), &mut events)
-                .expect("wait");
-            assert_eq!(n, 0, "{backend}: quiet socket reported ready");
-
-            // Bytes in flight: readable, under the registered token.
-            client.write_all(b"ping").expect("write");
-            let n = reactor
-                .wait(Duration::from_secs(5), &mut events)
-                .expect("wait");
-            assert_eq!(n, 1, "{backend}: bytes must wake the reactor");
-            assert_eq!(events[0].token(), 7);
-            assert!(events[0].readable(), "{backend}: bytes are readable");
-
-            // Peer gone: still readable (EOF counts as readable).
-            drop(client);
-            let n = reactor
-                .wait(Duration::from_secs(5), &mut events)
-                .expect("wait");
-            assert_eq!(n, 1, "{backend}: hangup must wake the reactor");
-            assert!(events[0].readable(), "{backend}: EOF counts as readable");
-
-            reactor.deregister(fd).expect("deregister");
-        }
-    }
-
-    /// Hangup and error conditions must surface even when the caller
-    /// registered no interest at all — the contract that keeps dying
-    /// sessions from going silent. (A dropped `UnixStream` peer closes
-    /// both directions, which is what raises a true `POLLHUP`; a TCP FIN
-    /// half-close only makes the socket readable.)
-    #[test]
-    fn hangup_is_reported_without_registered_interest() {
-        for &backend in Backend::all_supported() {
-            let mut reactor = new_reactor(backend).expect("reactor");
-            let (local, peer) = UnixStream::pair().expect("pair");
-            local.set_nonblocking(true).expect("nonblocking");
-            reactor
-                .register(local.as_raw_fd(), 1, Interest::new(false, false))
-                .expect("register");
-            drop(peer);
-            let mut events = Vec::new();
-            let n = reactor
-                .wait(Duration::from_secs(5), &mut events)
-                .expect("wait");
-            assert_eq!(n, 1, "{backend}: hangup must be reported unregistered");
-            assert!(events[0].hangup() || events[0].readable());
-        }
+    fn reactor_contract() {
+        let poll = check_contract("poll", PollReactor::new);
+        assert_eq!(poll.ctl_calls, 0, "poll issues no ctl syscalls");
+        #[cfg(target_os = "linux")]
+        check_contract("epoll", EpollReactor::new);
     }
 
     /// The epoll interest cache: `epoll_ctl` is issued only when a
@@ -916,58 +838,5 @@ mod tests {
         // Re-register after deregister is an ADD again.
         reactor.register(fd, 3, Interest::READ).expect("re-add");
         assert_eq!(reactor.stats().ctl_calls, 5);
-    }
-
-    /// After `deregister`, a reactor delivers no further events for the
-    /// descriptor even though it is still open and readable.
-    #[test]
-    fn deregistered_fd_delivers_no_events() {
-        for &backend in Backend::all_supported() {
-            let mut reactor = new_reactor(backend).expect("reactor");
-            let (a, mut b) = UnixStream::pair().expect("pair");
-            a.set_nonblocking(true).expect("nonblocking");
-            let fd = a.as_raw_fd();
-            reactor.register(fd, 9, Interest::READ).expect("register");
-            b.write_all(b"x").expect("write");
-
-            let mut events = Vec::new();
-            let n = reactor
-                .wait(Duration::from_secs(5), &mut events)
-                .expect("wait");
-            assert_eq!(n, 1, "{backend}: registered fd reports data");
-
-            reactor.deregister(fd).expect("deregister");
-            let n = reactor
-                .wait(Duration::from_millis(20), &mut events)
-                .expect("wait");
-            assert_eq!(n, 0, "{backend}: deregistered fd must go silent");
-        }
-    }
-
-    /// Reactor stats count waits and dispatched events.
-    #[test]
-    fn reactor_stats_count_waits_and_events() {
-        for &backend in Backend::all_supported() {
-            let mut reactor = new_reactor(backend).expect("reactor");
-            let (a, mut b) = UnixStream::pair().expect("pair");
-            a.set_nonblocking(true).expect("nonblocking");
-            reactor
-                .register(a.as_raw_fd(), 1, Interest::READ)
-                .expect("register");
-            let mut events = Vec::new();
-            reactor
-                .wait(Duration::from_millis(1), &mut events)
-                .expect("idle wait");
-            b.write_all(b"x").expect("write");
-            reactor
-                .wait(Duration::from_secs(5), &mut events)
-                .expect("busy wait");
-            let stats = reactor.stats();
-            assert_eq!(stats.wait_calls, 2, "{backend}");
-            assert_eq!(stats.events_dispatched, 1, "{backend}");
-            if backend == Backend::Poll {
-                assert_eq!(stats.ctl_calls, 0, "poll issues no ctl syscalls");
-            }
-        }
     }
 }

@@ -10,10 +10,8 @@
 //! §3.1.1; this module tells us how close to optimal they actually are).
 
 use csqp_catalog::{QuerySpec, RelId, RelSet};
-use csqp_core::bind::{bind, BindContext};
 use csqp_core::{is_well_formed, JoinTree, Plan, Policy};
 use csqp_cost::{CostModel, Objective};
-use csqp_verify::bounds;
 
 /// Upper bound on relations for exhaustive search (4 relations already
 /// yields 120 trees × hundreds of annotation assignments).
@@ -115,91 +113,6 @@ pub fn exhaustive_optimum(
     }
     assert!(plans_seen > 0, "no plans enumerated");
     best.expect("at least one plan binds")
-}
-
-/// What the budget gate did over one pruned exhaustive run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PruneStats {
-    /// Search states (tree × annotation) enumerated.
-    pub enumerated: u64,
-    /// States discarded by [`bound_prune`] before any cost evaluation.
-    pub pruned: u64,
-}
-
-/// The budget-feasibility gate: true when `plan`'s *guaranteed*
-/// worst-case client footprint (`csqp_verify::bounds`) provably exceeds
-/// `budget_pages`, so the state can be discarded without pricing it —
-/// admission control would refuse the plan no matter how cheap the cost
-/// model says it is.
-///
-/// Conservative by construction: a plan the bounds pass cannot analyze,
-/// or that does not bind, is never pruned (the cost model decides its
-/// fate), and the footprint is an upper bound — so pruning only removes
-/// plans the `--mem-budget` gate would reject. That is what makes the
-/// exhaustive-vs-pruned equality theorem below hold: under a budget no
-/// plan exceeds, the pruned search returns *exactly* the unpruned
-/// optimum.
-pub fn bound_prune(plan: &Plan, model: &CostModel<'_>, budget_pages: u64) -> bool {
-    let Ok(bounds) = bounds::analyze(plan, model.query(), model.config().page_size) else {
-        return false;
-    };
-    let Ok(bound) = bind(
-        plan,
-        BindContext {
-            catalog: model.catalog(),
-            query_site: model.query_site(),
-        },
-    ) else {
-        return false;
-    };
-    bounds::client_footprint_pages(&bound, &bounds) > budget_pages
-}
-
-/// The true optimum over the bound-feasible fraction of the full
-/// (tree × annotation) space: every state whose guaranteed client
-/// footprint exceeds `budget_pages` is discarded by [`bound_prune`]
-/// *before* cost evaluation.
-///
-/// Returns `None` when no enumerated state is bound-feasible (the
-/// admission gate would reject this query outright at this budget — the
-/// caller falls back to [`exhaustive_optimum`] or refuses the query),
-/// plus the gate's counters either way.
-pub fn exhaustive_optimum_pruned(
-    query: &QuerySpec,
-    policy: Policy,
-    objective: Objective,
-    model: &CostModel<'_>,
-    budget_pages: u64,
-) -> (Option<(Plan, f64)>, PruneStats) {
-    assert!(
-        query.num_relations() <= MAX_EXHAUSTIVE_RELATIONS,
-        "exhaustive search over {} relations would not terminate usefully",
-        query.num_relations()
-    );
-    let rels: Vec<RelId> = query.relations.iter().map(|r| r.id).collect();
-    let mut best: Option<(Plan, f64)> = None;
-    let mut stats = PruneStats::default();
-    for tree in all_trees(query, &rels) {
-        let skeleton = tree.into_plan(
-            query,
-            csqp_core::Annotation::Consumer,
-            csqp_core::Annotation::Client,
-        );
-        for plan in all_annotations(&skeleton, policy) {
-            stats.enumerated += 1;
-            if bound_prune(&plan, model, budget_pages) {
-                stats.pruned += 1;
-                continue;
-            }
-            let Some(cost) = model.evaluate_plan(&plan, objective) else {
-                continue;
-            };
-            if best.as_ref().is_none_or(|(_, c)| cost < *c) {
-                best = Some((plan, cost));
-            }
-        }
-    }
-    (best, stats)
 }
 
 #[cfg(test)]
@@ -314,128 +227,6 @@ mod tests {
                 assert!(found_raw >= exact - 1e-9);
             }
         }
-    }
-
-    /// The pruning soundness theorem: under a budget no plan exceeds,
-    /// the pruned search returns *exactly* the unpruned optimum — same
-    /// plan bytes, same cost — for every policy × objective. Pruning can
-    /// reorder nothing and cut nothing it should not.
-    #[test]
-    fn generous_budget_pruned_search_equals_exhaustive() {
-        let q = csqp_workload::chain_query(3, 1e-4);
-        let mut cat = catalog(3, 2);
-        cat.set_cached_fraction(RelId(0), 0.5);
-        let sys = SystemConfig::default();
-        let model = CostModel::new(&sys, &cat, &q, SiteId::CLIENT);
-        for policy in Policy::ALL {
-            for objective in [
-                Objective::Communication,
-                Objective::ResponseTime,
-                Objective::TotalCost,
-            ] {
-                let (exact_plan, exact) = exhaustive_optimum(&q, policy, objective, &model);
-                let (pruned, stats) =
-                    exhaustive_optimum_pruned(&q, policy, objective, &model, u64::MAX);
-                let (pruned_plan, pruned_cost) = pruned.expect("everything is feasible");
-                assert_eq!(
-                    stats.pruned, 0,
-                    "{policy}/{objective}: nothing exceeds u64::MAX"
-                );
-                assert!(stats.enumerated > 0);
-                assert_eq!(
-                    pruned_plan.render_compact(),
-                    exact_plan.render_compact(),
-                    "{policy}/{objective}"
-                );
-                assert_eq!(pruned_cost, exact, "{policy}/{objective}");
-            }
-        }
-    }
-
-    /// A tight budget discards exactly the client-heavy states: DS (all
-    /// joins at the client) has no feasible state at 300 pages, QS (all
-    /// joins at the servers) is untouched, and the chosen QS plan is the
-    /// unpruned optimum — the gate never costs QS anything.
-    #[test]
-    fn tight_budget_prunes_client_joins_and_keeps_qs_exact() {
-        let q = csqp_workload::chain_query(3, 1e-4);
-        let cat = catalog(3, 2);
-        let sys = SystemConfig::default();
-        let model = CostModel::new(&sys, &cat, &q, SiteId::CLIENT);
-        let budget = 300; // fits the 250-page result bound, not 500-page join inputs
-
-        let (ds, ds_stats) = exhaustive_optimum_pruned(
-            &q,
-            Policy::DataShipping,
-            Objective::Communication,
-            &model,
-            budget,
-        );
-        assert!(ds.is_none(), "every DS plan joins at the client");
-        assert_eq!(ds_stats.pruned, ds_stats.enumerated);
-
-        let (exact_plan, exact) =
-            exhaustive_optimum(&q, Policy::QueryShipping, Objective::Communication, &model);
-        let (qs, qs_stats) = exhaustive_optimum_pruned(
-            &q,
-            Policy::QueryShipping,
-            Objective::Communication,
-            &model,
-            budget,
-        );
-        let (qs_plan, qs_cost) = qs.expect("QS joins at the servers");
-        assert!(!bound_prune(&qs_plan, &model, budget));
-        assert_eq!(qs_plan.render_compact(), exact_plan.render_compact());
-        assert_eq!(qs_cost, exact);
-        assert!(qs_stats.pruned < qs_stats.enumerated);
-
-        // Hybrid keeps its server-sited states and the survivor is never
-        // cheaper than what the full space could do.
-        let (hy, hy_stats) = exhaustive_optimum_pruned(
-            &q,
-            Policy::HybridShipping,
-            Objective::Communication,
-            &model,
-            budget,
-        );
-        let (hy_plan, hy_cost) = hy.expect("server-sited hybrid states fit");
-        assert!(hy_stats.pruned > 0, "client-sited hybrid states must go");
-        let (_, hy_exact) =
-            exhaustive_optimum(&q, Policy::HybridShipping, Objective::Communication, &model);
-        assert!(hy_cost >= hy_exact - 1e-9);
-        assert!(!bound_prune(&hy_plan, &model, budget));
-    }
-
-    /// Without key declarations the bounds collapse to the product rule,
-    /// so a budget that admits the keyed chain rejects the same shape
-    /// unkeyed — the prune consumes exactly what the analyzer proves.
-    #[test]
-    fn pruning_trusts_only_audited_keys() {
-        let keyed = csqp_workload::chain_query(2, 1e-4);
-        let unkeyed = chain(2); // same stats, no key declarations
-        assert!(unkeyed.relations.iter().all(|r| !r.key));
-        let cat = catalog(2, 2);
-        let sys = SystemConfig::default();
-        let budget = 300;
-        let model_keyed = CostModel::new(&sys, &cat, &keyed, SiteId::CLIENT);
-        let (qs, _) = exhaustive_optimum_pruned(
-            &keyed,
-            Policy::QueryShipping,
-            Objective::Communication,
-            &model_keyed,
-            budget,
-        );
-        assert!(qs.is_some(), "keyed result bound is 250 pages");
-        let model_unkeyed = CostModel::new(&sys, &cat, &unkeyed, SiteId::CLIENT);
-        let (qs, stats) = exhaustive_optimum_pruned(
-            &unkeyed,
-            Policy::QueryShipping,
-            Objective::Communication,
-            &model_unkeyed,
-            budget,
-        );
-        assert!(qs.is_none(), "product bound (10^8 tuples) cannot fit");
-        assert_eq!(stats.pruned, stats.enumerated);
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! The event-driven session engine (DESIGN.md §10).
 //!
 //! A fixed set of *shard* threads multiplexes every connected socket
-//! with a [`csqp_net::poll::Reactor`] — `epoll(7)` by default on Linux,
-//! `poll(2)` as the portable fallback, selected by
-//! [`crate::ServerConfig::reactor`]; the accept thread routes each new
-//! connection to a shard by file descriptor. One shard owns its sessions
-//! exclusively — no locks on the session path — and drives each as an
-//! explicit state machine:
+//! with a [`PlatformReactor`] — `epoll(7)` on Linux, `poll(2)`
+//! elsewhere, fixed by the target OS at build time; the accept thread
+//! routes each new connection to a shard by file descriptor. One shard
+//! owns its sessions exclusively — no locks on the session path — and
+//! drives each as an explicit state machine:
 //!
 //! ```text
 //!              HELLO            QUERY submitted
@@ -55,7 +54,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use csqp_core::cancel::CancelToken;
-use csqp_net::poll::{new_reactor, Interest, Reactor, ReactorStats, ReadyEvent, WakeHandle, Waker};
+use csqp_net::poll::{
+    Interest, PlatformReactor, Reactor, ReactorStats, ReadyEvent, WakeHandle, Waker,
+};
 use csqp_verify::protocol::{self, Action, ErrorClass, Event, SessionModel};
 use csqp_verify::system::{completion_disposition, submit_outcome, CompletionDisposition};
 
@@ -264,7 +265,7 @@ pub(crate) struct Shard {
     /// The readiness backend. Sessions are registered under their id as
     /// the token; interest updates route through [`Shard::retune`] so
     /// the reactor's interest cache sees every change exactly once.
-    reactor: Box<dyn Reactor>,
+    reactor: PlatformReactor,
     reg_rx: Receiver<TcpStream>,
     done_rx: Receiver<Completion>,
     done_tx: mpsc::Sender<Completion>,
@@ -281,8 +282,7 @@ pub(crate) struct Shard {
 
 impl Shard {
     /// Spawn one shard thread. Fails loudly (propagating to
-    /// `Server::bind`) if the configured reactor backend cannot be
-    /// constructed on this host.
+    /// `Server::bind`) if the reactor cannot be created.
     pub(crate) fn spawn(
         index: usize,
         service: Arc<QueryService>,
@@ -291,7 +291,7 @@ impl Shard {
     ) -> io::Result<ShardHandle> {
         let waker = Waker::new()?;
         let wake = waker.handle();
-        let mut reactor = new_reactor(service.config().reactor)?;
+        let mut reactor = PlatformReactor::new()?;
         reactor.register(waker.fd(), WAKER_TOKEN, Interest::READ)?;
         let (reg_tx, reg_rx) = mpsc::channel();
         let (done_tx, done_rx) = mpsc::channel();

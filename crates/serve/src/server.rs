@@ -4,9 +4,9 @@
 //!
 //! - one *accept* thread owns the listener and routes sockets to shards;
 //! - a fixed set of *shard* event-loop threads multiplexes every session
-//!   (HELLO → QUERY* → BYE) over a [`csqp_net::poll::Reactor`]
-//!   (`epoll(7)` by default on Linux, `poll(2)` portable fallback) —
-//!   see the `engine` module;
+//!   (HELLO → QUERY* → BYE) over a [`csqp_net::poll::PlatformReactor`]
+//!   (`epoll(7)` on Linux, `poll(2)` elsewhere) — see the `engine`
+//!   module;
 //! - a fixed *worker pool* drains a bounded admission queue
 //!   (`std::sync::mpsc::sync_channel`) and executes queries against the
 //!   shared [`QueryService`].
@@ -88,12 +88,6 @@ pub struct ServerConfig {
     /// Event-loop threads multiplexing all sessions (sessions are
     /// sharded across them by file descriptor). Clamped to at least 1.
     pub event_threads: usize,
-    /// Readiness backend each shard drives: `epoll` by default on Linux
-    /// (kernel-resident interest, O(ready) waits), `poll` as the
-    /// portable fallback. Wire behavior is byte-identical either way —
-    /// the parameterized equivalence suites hold both to the same
-    /// golden digests.
-    pub reactor: csqp_net::poll::Backend,
     /// Server-side reply-path fault injection: when set, RESULT/ERROR
     /// frames produced by query execution are deterministically
     /// truncated or corrupted per the plan, keyed by the request's own
@@ -148,7 +142,6 @@ impl Default for ServerConfig {
             high_water: None,
             pipeline_depth: 8,
             event_threads: 2,
-            reactor: csqp_net::poll::Backend::default_for_host(),
             reply_faults: None,
             memo: true,
             memo_bytes: 64 << 20,

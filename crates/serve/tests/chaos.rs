@@ -5,11 +5,6 @@
 //! leaked worker slots or queue permits (clean probes succeed), exact
 //! accounting conservation, and the same seed reproducing the same
 //! fault schedule and reply digest.
-//!
-//! Every soak runs once per reactor backend the host supports
-//! (`csqp_net::poll::test_backends`, `CSQP_REACTOR` override): the
-//! invariants — and the seeded digests — must hold identically under
-//! `poll` and `epoll`.
 
 // Tests panic on broken setup by design.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -17,7 +12,6 @@
 use std::time::Duration;
 
 use csqp_net::chaos::FaultPlan;
-use csqp_net::poll::{test_backends, Backend};
 use csqp_serve::chaos::{run_chaos, ChaosConfig};
 use csqp_serve::{Server, ServerConfig, ServerHandle};
 use proptest::prelude::*;
@@ -26,11 +20,10 @@ use proptest::prelude::*;
 /// failures reproduce locally by copying the seed.
 const SOAK_SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
-fn start_server(reactor: Backend) -> ServerHandle {
+fn start_server() -> ServerHandle {
     Server::bind(ServerConfig {
         workers: 2,
         queue_depth: 8,
-        reactor,
         ..ServerConfig::default()
     })
     .expect("bind on 127.0.0.1:0")
@@ -52,62 +45,52 @@ fn soak_config(addr: &str, seed: u64) -> ChaosConfig {
 
 #[test]
 fn soak_over_fixed_seeds_never_leaks_or_miscounts() {
-    for reactor in test_backends() {
-        for seed in SOAK_SEEDS {
-            let server = start_server(reactor);
-            let report = run_chaos(&soak_config(&server.addr().to_string(), seed))
-                .unwrap_or_else(|e| panic!("seed {seed} on {reactor}: soak failed: {e}"));
-            assert!(
-                report.conservation,
-                "seed {seed} on {reactor}: conservation violated\n{}",
-                report.render()
-            );
-            assert!(
-                report.probes_ok,
-                "seed {seed} on {reactor}: a worker or queue permit leaked\n{}",
-                report.render()
-            );
-            assert_eq!(
-                report.client_errors,
-                0,
-                "seed {seed} on {reactor}: unexpected client-side I/O failure\n{}",
-                report.render()
-            );
-            assert_eq!(report.queries_sent, 20);
-            assert_eq!(
-                report.replies + report.dropped,
-                report.queries_sent,
-                "seed {seed} on {reactor}: every exchange ends replied or dropped\n{}",
-                report.render()
-            );
-            server.shutdown();
-        }
+    for seed in SOAK_SEEDS {
+        let server = start_server();
+        let report = run_chaos(&soak_config(&server.addr().to_string(), seed))
+            .unwrap_or_else(|e| panic!("seed {seed}: soak failed: {e}"));
+        assert!(
+            report.conservation,
+            "seed {seed}: conservation violated\n{}",
+            report.render()
+        );
+        assert!(
+            report.probes_ok,
+            "seed {seed}: a worker or queue permit leaked\n{}",
+            report.render()
+        );
+        assert_eq!(
+            report.client_errors,
+            0,
+            "seed {seed}: unexpected client-side I/O failure\n{}",
+            report.render()
+        );
+        assert_eq!(report.queries_sent, 20);
+        assert_eq!(
+            report.replies + report.dropped,
+            report.queries_sent,
+            "seed {seed}: every exchange ends replied or dropped\n{}",
+            report.render()
+        );
+        server.shutdown();
     }
 }
 
 #[test]
 fn same_seed_reproduces_schedule_and_digest_across_servers() {
     // Two *fresh* servers — not two runs against one — so the digest
-    // cannot lean on warmed caches or leftover state. The second server
-    // also runs on every other supported backend: the digest is a
-    // function of the seed, not of the readiness mechanism.
+    // cannot lean on warmed caches or leftover state.
     let seed = 13;
-    let first_server = start_server(Backend::default_for_host());
+    let first_server = start_server();
     let a = run_chaos(&soak_config(&first_server.addr().to_string(), seed)).expect("first soak");
     first_server.shutdown();
-    for reactor in test_backends() {
-        let second_server = start_server(reactor);
-        let b =
-            run_chaos(&soak_config(&second_server.addr().to_string(), seed)).expect("second soak");
-        second_server.shutdown();
-        assert_eq!(a.digest, b.digest, "same seed, same replies on {reactor}");
-        assert_eq!(
-            a.faults, b.faults,
-            "same seed, same fault schedule on {reactor}"
-        );
-        assert_eq!(a.replies, b.replies);
-        assert_eq!(a.dropped, b.dropped);
-    }
+    let second_server = start_server();
+    let b = run_chaos(&soak_config(&second_server.addr().to_string(), seed)).expect("second soak");
+    second_server.shutdown();
+    assert_eq!(a.digest, b.digest, "same seed, same replies");
+    assert_eq!(a.faults, b.faults, "same seed, same fault schedule");
+    assert_eq!(a.replies, b.replies);
+    assert_eq!(a.dropped, b.dropped);
 }
 
 /// Staleness bound for the catalog-fault soaks: tight enough that
@@ -119,12 +102,11 @@ const CATALOG_SOAK_BOUND: u64 = 2;
 /// by file descriptor, which the seed does not control, so a single
 /// shard is what makes the drift trajectory a pure function of the
 /// request stream.
-fn start_catalog_fault_server(reactor: Backend, seed: u64, intensity: f64) -> ServerHandle {
+fn start_catalog_fault_server(seed: u64, intensity: f64) -> ServerHandle {
     Server::bind(ServerConfig {
         workers: 2,
         queue_depth: 8,
         event_threads: 1,
-        reactor,
         catalog_lag: CATALOG_SOAK_BOUND,
         catalog_faults: Some(FaultPlan::new(seed, intensity)),
         ..ServerConfig::default()
@@ -136,54 +118,46 @@ fn start_catalog_fault_server(reactor: Backend, seed: u64, intensity: f64) -> Se
 
 #[test]
 fn catalog_fault_soak_conserves_and_the_drift_trace_audits_clean() {
-    for reactor in test_backends() {
-        let mut drift_bit = 0u64;
-        for seed in SOAK_SEEDS {
-            let server = start_catalog_fault_server(reactor, seed, 0.5);
-            let cfg = ChaosConfig {
-                catalog_faults: true,
-                ..soak_config(&server.addr().to_string(), seed)
-            };
-            let report = run_chaos(&cfg)
-                .unwrap_or_else(|e| panic!("seed {seed} on {reactor}: catalog soak failed: {e}"));
-            assert!(
-                report.conservation,
-                "seed {seed} on {reactor}: conservation under catalog faults\n{}",
-                report.render()
-            );
-            assert!(
-                report.probes_ok,
-                "seed {seed} on {reactor}: a worker leaked under catalog faults\n{}",
-                report.render()
-            );
-            assert_eq!(report.client_errors, 0, "seed {seed} on {reactor}");
-            assert_eq!(
-                report.replies + report.dropped,
-                report.queries_sent,
-                "seed {seed} on {reactor}: every exchange ends replied or dropped\n{}",
-                report.render()
-            );
-            // The recorded drift trace must replay clean through the
-            // verifier: no fresh serve past the bound, no applied epoch
-            // regression, faithful lag accounting.
-            let trace = server.service().drift_trace();
-            assert!(
-                !trace.is_empty(),
-                "seed {seed} on {reactor}: faults armed, trace empty"
-            );
-            let audit = csqp_verify::catalog::check_drift(&trace, CATALOG_SOAK_BOUND);
-            assert!(
-                audit.is_clean(),
-                "seed {seed} on {reactor}: drift audit failed: {audit}"
-            );
-            drift_bit += report.stats.catalog_stale_degraded + report.stats.catalog_stale_rejected;
-            server.shutdown();
-        }
+    let mut drift_bit = 0u64;
+    for seed in SOAK_SEEDS {
+        let server = start_catalog_fault_server(seed, 0.5);
+        let cfg = ChaosConfig {
+            catalog_faults: true,
+            ..soak_config(&server.addr().to_string(), seed)
+        };
+        let report =
+            run_chaos(&cfg).unwrap_or_else(|e| panic!("seed {seed}: catalog soak failed: {e}"));
         assert!(
-            drift_bit > 0,
-            "{reactor}: across all soak seeds, some replica must trail past the bound"
+            report.conservation,
+            "seed {seed}: conservation under catalog faults\n{}",
+            report.render()
         );
+        assert!(
+            report.probes_ok,
+            "seed {seed}: a worker leaked under catalog faults\n{}",
+            report.render()
+        );
+        assert_eq!(report.client_errors, 0, "seed {seed}");
+        assert_eq!(
+            report.replies + report.dropped,
+            report.queries_sent,
+            "seed {seed}: every exchange ends replied or dropped\n{}",
+            report.render()
+        );
+        // The recorded drift trace must replay clean through the
+        // verifier: no fresh serve past the bound, no applied epoch
+        // regression, faithful lag accounting.
+        let trace = server.service().drift_trace();
+        assert!(!trace.is_empty(), "seed {seed}: faults armed, trace empty");
+        let audit = csqp_verify::catalog::check_drift(&trace, CATALOG_SOAK_BOUND);
+        assert!(audit.is_clean(), "seed {seed}: drift audit failed: {audit}");
+        drift_bit += report.stats.catalog_stale_degraded + report.stats.catalog_stale_rejected;
+        server.shutdown();
     }
+    assert!(
+        drift_bit > 0,
+        "across all soak seeds, some replica must trail past the bound"
+    );
 }
 
 #[test]
@@ -191,45 +165,27 @@ fn catalog_fault_soak_same_seed_same_drift_across_fresh_servers() {
     // Epoch lag is server state that carries across queries, so the
     // repeatability claim is across two *fresh* servers: same seed,
     // same fresh state, byte-identical replies and drift trajectory.
-    // Running the pair under every supported backend additionally pins
-    // the drift trajectory as backend-independent.
     let seed = 21;
-    let mut golden: Option<(u64, Vec<_>)> = None;
-    for reactor in test_backends() {
-        let first = start_catalog_fault_server(reactor, seed, 0.5);
-        let a = run_chaos(&ChaosConfig {
-            catalog_faults: true,
-            ..soak_config(&first.addr().to_string(), seed)
-        })
-        .expect("first catalog soak");
-        let trace_a = first.service().drift_trace();
-        first.shutdown();
-        let second = start_catalog_fault_server(reactor, seed, 0.5);
-        let b = run_chaos(&ChaosConfig {
-            catalog_faults: true,
-            ..soak_config(&second.addr().to_string(), seed)
-        })
-        .expect("second catalog soak");
-        let trace_b = second.service().drift_trace();
-        second.shutdown();
-        assert_eq!(a.digest, b.digest, "same seed, same replies on {reactor}");
-        assert_eq!(a.replies, b.replies);
-        assert_eq!(a.dropped, b.dropped);
-        assert_eq!(
-            trace_a, trace_b,
-            "same seed, same drift trajectory on {reactor}"
-        );
-        match &golden {
-            None => golden = Some((a.digest, trace_a)),
-            Some((digest, trace)) => {
-                assert_eq!(
-                    a.digest, *digest,
-                    "{reactor}: digest matches other backends"
-                );
-                assert_eq!(&trace_a, trace, "{reactor}: drift matches other backends");
-            }
-        }
-    }
+    let first = start_catalog_fault_server(seed, 0.5);
+    let a = run_chaos(&ChaosConfig {
+        catalog_faults: true,
+        ..soak_config(&first.addr().to_string(), seed)
+    })
+    .expect("first catalog soak");
+    let trace_a = first.service().drift_trace();
+    first.shutdown();
+    let second = start_catalog_fault_server(seed, 0.5);
+    let b = run_chaos(&ChaosConfig {
+        catalog_faults: true,
+        ..soak_config(&second.addr().to_string(), seed)
+    })
+    .expect("second catalog soak");
+    let trace_b = second.service().drift_trace();
+    second.shutdown();
+    assert_eq!(a.digest, b.digest, "same seed, same replies");
+    assert_eq!(a.replies, b.replies);
+    assert_eq!(a.dropped, b.dropped);
+    assert_eq!(trace_a, trace_b, "same seed, same drift trajectory");
 }
 
 #[test]
@@ -237,53 +193,41 @@ fn zero_deadline_soak_times_out_every_served_query_deterministically() {
     // deadline_ms = 0 expires at admission, so every well-formed query
     // comes back deadline-exceeded — a deterministic exercise of the
     // timeout path under fault injection.
-    for reactor in test_backends() {
-        let server = start_server(reactor);
-        let cfg = ChaosConfig {
-            deadline_ms: Some(0),
-            ..soak_config(&server.addr().to_string(), 21)
-        };
-        let a = run_chaos(&cfg).expect("zero-deadline soak");
-        assert!(
-            a.conservation,
-            "{reactor}: conservation under timeouts\n{}",
-            a.render()
-        );
-        assert!(
-            a.probes_ok,
-            "{reactor}: workers survive timeouts\n{}",
-            a.render()
-        );
-        assert!(
-            a.stats.timed_out > 0,
-            "{reactor}: zero deadlines must time out\n{}",
-            a.render()
-        );
-        assert_eq!(
-            a.stats.queries_served,
-            0,
-            "{reactor}: nothing outruns an already-expired deadline\n{}",
-            a.render()
-        );
-        let b = run_chaos(&cfg).expect("zero-deadline soak, repeated");
-        assert_eq!(
-            a.digest, b.digest,
-            "{reactor}: timeout replies are seeded too"
-        );
-        server.shutdown();
-    }
+    let server = start_server();
+    let cfg = ChaosConfig {
+        deadline_ms: Some(0),
+        ..soak_config(&server.addr().to_string(), 21)
+    };
+    let a = run_chaos(&cfg).expect("zero-deadline soak");
+    assert!(
+        a.conservation,
+        "conservation under timeouts\n{}",
+        a.render()
+    );
+    assert!(a.probes_ok, "workers survive timeouts\n{}", a.render());
+    assert!(
+        a.stats.timed_out > 0,
+        "zero deadlines must time out\n{}",
+        a.render()
+    );
+    assert_eq!(
+        a.stats.queries_served,
+        0,
+        "nothing outruns an already-expired deadline\n{}",
+        a.render()
+    );
+    let b = run_chaos(&cfg).expect("zero-deadline soak, repeated");
+    assert_eq!(a.digest, b.digest, "timeout replies are seeded too");
+    server.shutdown();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Any seed — not just the pinned eight — holds the invariants.
-    /// The backend is derived from the seed so both get proptest
-    /// coverage without doubling the case count.
     #[test]
     fn soak_any_seed_holds_invariants(seed in 0u64..1_000_000) {
-        let backends = test_backends();
-        let server = start_server(backends[seed as usize % backends.len()]);
+        let server = start_server();
         let report = run_chaos(&soak_config(&server.addr().to_string(), seed))
             .expect("soak completes");
         prop_assert!(report.conservation, "seed {}: {}", seed, report.render());

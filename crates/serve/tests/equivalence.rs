@@ -9,17 +9,10 @@
 //! shows up here regardless of scheduling. This preserves the
 //! byte-identity guarantee the live two-engine comparison used to
 //! provide.
-//!
-//! Every test here is additionally parameterized over every reactor
-//! backend the host supports (`csqp_net::poll::test_backends`, which
-//! honors a `CSQP_REACTOR=poll|epoll` override): the same goldens must
-//! reproduce bit for bit under `poll` and `epoll`, which is what makes
-//! backend equivalence a tested invariant instead of a hope.
 
 // Tests panic on broken setup by design.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use csqp_net::poll::{test_backends, Backend};
 use csqp_serve::{run_chaos, run_load, ChaosConfig, LoadConfig, Server, ServerConfig};
 
 /// Golden digests recorded from the threaded engine: seeded load runs
@@ -42,10 +35,9 @@ const CHAOS_GOLDENS: [(u64, u64, u64, u64); 2] = [
 /// mangled, sent)`.
 const FAULT_GOLDEN: (u64, u64, u64, u64, u64) = (0xf28f_4038_7ac6_6102, 3, 7, 6, 16);
 
-fn spawn(reactor: Backend) -> csqp_serve::ServerHandle {
+fn spawn() -> csqp_serve::ServerHandle {
     Server::bind(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        reactor,
         ..ServerConfig::default()
     })
     .expect("bind loopback")
@@ -55,66 +47,59 @@ fn spawn(reactor: Backend) -> csqp_serve::ServerHandle {
 
 #[test]
 fn seeded_load_digests_match_the_threaded_goldens() {
-    for reactor in test_backends() {
-        let server = spawn(reactor);
-        for (seed, digest, per_policy) in LOAD_GOLDENS {
-            let r = run_load(&LoadConfig {
-                addr: server.addr().to_string(),
-                clients: 4,
-                queries_per_client: Some(4),
-                seed,
-                ..LoadConfig::default()
-            })
-            .expect("load run");
-            assert_eq!(r.queries, 16, "engine answers everything: {r:?}");
-            assert_eq!(r.errors, 0);
-            assert_eq!(
-                r.digest, digest,
-                "seed {seed} on {reactor}: digest must stay byte-identical to \
-                 the recorded threaded-engine golden (got {:#x})",
-                r.digest
-            );
-            assert_eq!(
-                r.per_policy, per_policy,
-                "{reactor}: same mix, same policy split"
-            );
-        }
-        let m = server.metrics();
-        assert!(m.conservation_holds());
-        assert_eq!(m.queries_served(), 32);
-        server.shutdown();
+    let server = spawn();
+    for (seed, digest, per_policy) in LOAD_GOLDENS {
+        let r = run_load(&LoadConfig {
+            addr: server.addr().to_string(),
+            clients: 4,
+            queries_per_client: Some(4),
+            seed,
+            ..LoadConfig::default()
+        })
+        .expect("load run");
+        assert_eq!(r.queries, 16, "engine answers everything: {r:?}");
+        assert_eq!(r.errors, 0);
+        assert_eq!(
+            r.digest, digest,
+            "seed {seed}: digest must stay byte-identical to \
+             the recorded threaded-engine golden (got {:#x})",
+            r.digest
+        );
+        assert_eq!(r.per_policy, per_policy, "same mix, same policy split");
     }
+    let m = server.metrics();
+    assert!(m.conservation_holds());
+    assert_eq!(m.queries_served(), 32);
+    server.shutdown();
 }
 
 #[test]
 fn chaos_soak_digests_match_the_threaded_goldens() {
     // The soak is sequential (one outstanding query), so every reply is
     // pure in (seed, schedule, index) — fault recovery included.
-    for reactor in test_backends() {
-        for (seed, digest, replies, dropped) in CHAOS_GOLDENS {
-            let server = spawn(reactor);
-            let r = run_chaos(&ChaosConfig {
-                addr: server.addr().to_string(),
-                seed,
-                schedules: 2,
-                queries_per_schedule: 8,
-                intensity: 0.5,
-                ..ChaosConfig::default()
-            })
-            .expect("chaos soak");
-            assert!(r.healthy(), "engine healthy:\n{}", r.render());
-            assert_eq!(
-                r.digest,
-                digest,
-                "seed {seed} on {reactor}: chaos digest must match the \
-                 recorded golden (got {:#x})\n{}",
-                r.digest,
-                r.render()
-            );
-            assert_eq!(r.replies, replies);
-            assert_eq!(r.dropped, dropped);
-            server.shutdown();
-        }
+    for (seed, digest, replies, dropped) in CHAOS_GOLDENS {
+        let server = spawn();
+        let r = run_chaos(&ChaosConfig {
+            addr: server.addr().to_string(),
+            seed,
+            schedules: 2,
+            queries_per_schedule: 8,
+            intensity: 0.5,
+            ..ChaosConfig::default()
+        })
+        .expect("chaos soak");
+        assert!(r.healthy(), "engine healthy:\n{}", r.render());
+        assert_eq!(
+            r.digest,
+            digest,
+            "seed {seed}: chaos digest must match the \
+             recorded golden (got {:#x})\n{}",
+            r.digest,
+            r.render()
+        );
+        assert_eq!(r.replies, replies);
+        assert_eq!(r.dropped, dropped);
+        server.shutdown();
     }
 }
 
@@ -124,47 +109,44 @@ fn reply_faults_mangle_identically_to_the_threaded_golden() {
     // schedule is reproducible without any session state.
     let seed = 0xFEED;
     let intensity = 0.6;
-    for reactor in test_backends() {
-        let server = Server::bind(ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            reply_faults: Some(csqp_net::chaos::FaultPlan::new(seed, intensity)),
-            reactor,
-            ..ServerConfig::default()
-        })
-        .expect("bind loopback")
-        .spawn()
-        .expect("spawn server");
-        let r = run_chaos(&ChaosConfig {
-            addr: server.addr().to_string(),
-            seed,
-            schedules: 2,
-            queries_per_schedule: 8,
-            intensity,
-            reply_faults: true,
-            ..ChaosConfig::default()
-        })
-        .expect("chaos soak");
-        let (digest, replies, dropped, mangled, sent) = FAULT_GOLDEN;
-        assert!(r.healthy(), "engine healthy:\n{}", r.render());
-        assert!(r.mangled > 0, "engine mangled replies");
-        assert_eq!(
-            r.replies + r.dropped + r.mangled,
-            r.queries_sent,
-            "every exchange accounted:\n{}",
-            r.render()
-        );
-        assert_eq!(
-            r.digest,
-            digest,
-            "{reactor}: mangled digest must match the recorded golden \
-             (got {:#x})\n{}",
-            r.digest,
-            r.render()
-        );
-        assert_eq!(
-            (r.replies, r.dropped, r.mangled, r.queries_sent),
-            (replies, dropped, mangled, sent)
-        );
-        server.shutdown();
-    }
+    let server = Server::bind(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        reply_faults: Some(csqp_net::chaos::FaultPlan::new(seed, intensity)),
+        ..ServerConfig::default()
+    })
+    .expect("bind loopback")
+    .spawn()
+    .expect("spawn server");
+    let r = run_chaos(&ChaosConfig {
+        addr: server.addr().to_string(),
+        seed,
+        schedules: 2,
+        queries_per_schedule: 8,
+        intensity,
+        reply_faults: true,
+        ..ChaosConfig::default()
+    })
+    .expect("chaos soak");
+    let (digest, replies, dropped, mangled, sent) = FAULT_GOLDEN;
+    assert!(r.healthy(), "engine healthy:\n{}", r.render());
+    assert!(r.mangled > 0, "engine mangled replies");
+    assert_eq!(
+        r.replies + r.dropped + r.mangled,
+        r.queries_sent,
+        "every exchange accounted:\n{}",
+        r.render()
+    );
+    assert_eq!(
+        r.digest,
+        digest,
+        "mangled digest must match the recorded golden \
+         (got {:#x})\n{}",
+        r.digest,
+        r.render()
+    );
+    assert_eq!(
+        (r.replies, r.dropped, r.mangled, r.queries_sent),
+        (replies, dropped, mangled, sent)
+    );
+    server.shutdown();
 }

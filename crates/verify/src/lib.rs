@@ -65,7 +65,7 @@
 //! declarations against the query's own statistics, and dynamically
 //! asserts executed actual ≤ static bound on every operator edge
 //! (`csqp-check --bounds`). The serve layer's `--mem-budget` admission
-//! gate and the optimizer's `bound_prune` consume the same bounds.
+//! gate consumes these bounds.
 
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]

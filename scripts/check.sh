@@ -10,8 +10,8 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo test -q"
-cargo test -q
+echo "==> cargo test --release --workspace -q"
+cargo test --release --workspace -q
 
 echo "==> csqp-check: random sweep + optimizer traces + negative fixtures"
 cargo run --release --bin csqp-check -- --plans 1000
@@ -68,16 +68,10 @@ cargo run --release --bin csqp-load -- --serve --pipeline 8 --chaos 13 --clients
 echo "==> reply-fault smoke: server-side reply truncation/corruption soak"
 cargo run --release --bin csqp-load -- --serve --chaos 21 --reply-faults --schedules 2 --chaos-queries 10 --intensity 0.6
 
-echo "==> idle-session scale: poll at 2,000 sessions + the epoll wall"
+echo "==> idle-session scale: the wall on the platform reactor"
 cargo test --release -p csqp-serve --test scale -- --ignored
 
-echo "==> reactor-matrix: serve suites pinned to each backend"
-for reactor in poll epoll; do
-  CSQP_REACTOR="$reactor" cargo test --release -p csqp-serve \
-    --test equivalence --test chaos --test pipeline --test memo
-done
-
-echo "==> bench-reactor: idle+active run per backend (BENCH_reactor.json)"
+echo "==> bench-reactor: idle+active run (BENCH_reactor.json)"
 cargo run --release --bin csqp-load -- --serve --bench-reactor --clients 4 --queries 32 --seed 42 --min-qps 25
 
 echo "==> csqp-check --catalog: replication drift replay + seeded mutants"

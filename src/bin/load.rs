@@ -10,7 +10,7 @@
 //!     [--chaos SEED] [--schedules N] [--chaos-queries N] [--intensity F]
 //!     [--reply-faults] [--catalog-faults] [--memo-smoke]
 //!     [--mem-budget PAGES] [--bench-serve] [--min-qps F]
-//!     [--reactor poll|epoll] [--bench-reactor] [--idle-sessions N]
+//!     [--bench-reactor] [--idle-sessions N]
 //! ```
 //!
 //! `--serve` spins up an in-process server on a free port and loads it —
@@ -63,19 +63,14 @@
 //! `--min-qps F` turns it into a regression gate: the run fails when
 //! throughput drops below the floor.
 //!
-//! `--reactor poll|epoll` pins the readiness backend of every inline
-//! server this binary spawns (default: the host default — `epoll` on
-//! Linux). Served bytes are identical either way.
-//!
-//! `--bench-reactor` is the reactor perf artifact: for **each** backend
-//! the host supports it spins up an inline server, parks
-//! `--idle-sessions N` idle connections on it (default 512 — the mixed
-//! idle+active shape the 100k scale suite extrapolates), drives the
-//! same seeded closed-loop mix, and records QPS plus the reactor's
-//! syscall counters (wait calls/sec, events dispatched/sec) in
-//! `BENCH_reactor.json`. The run fails if the backends' reply digests
-//! differ, if `--min-qps` is violated on any backend, or if the epoll
-//! interest cache degrades into an `epoll_ctl` storm (ctl calls are
+//! `--bench-reactor` is the reactor perf artifact: it spins up an inline
+//! server on the platform reactor (`epoll` on Linux, `poll` elsewhere),
+//! parks `--idle-sessions N` idle connections on it (default 512 — the
+//! mixed idle+active shape the scale suite extrapolates), drives the
+//! seeded closed-loop mix, and records QPS plus the reactor's syscall
+//! counters (wait calls/sec, events dispatched/sec) in
+//! `BENCH_reactor.json`. The run fails if `--min-qps` is violated or if
+//! the interest cache degrades into an `epoll_ctl` storm (ctl calls are
 //! gated against the work actually done).
 
 use std::process::ExitCode;
@@ -85,7 +80,6 @@ use csqp::core::Policy;
 use csqp::cost::Objective;
 use csqp::json::{obj, Json};
 use csqp::net::chaos::FaultPlan;
-use csqp::net::poll::Backend;
 use csqp::serve::chaos::{run_chaos, ChaosConfig};
 use csqp::serve::proto::OptimizerMode;
 use csqp::serve::{run_load, LoadConfig, Server, ServerConfig, ServerHandle};
@@ -99,7 +93,6 @@ struct Args {
     mem_budget_smoke: Option<u64>,
     bench_serve: bool,
     min_qps: Option<f64>,
-    reactor: Option<Backend>,
     bench_reactor: bool,
     idle_sessions: usize,
 }
@@ -114,7 +107,6 @@ fn parse_args() -> Args {
         mem_budget_smoke: None,
         bench_serve: false,
         min_qps: None,
-        reactor: None,
         bench_reactor: false,
         idle_sessions: 512,
     };
@@ -195,13 +187,6 @@ fn parse_args() -> Args {
                 args.mem_budget_smoke = Some(num(&raw("--mem-budget"), "--mem-budget"))
             }
             "--bench-serve" => args.bench_serve = true,
-            "--reactor" => {
-                let v = raw("--reactor");
-                args.reactor =
-                    Some(Backend::parse(&v).unwrap_or_else(|| {
-                        die(format!("--reactor must be poll or epoll, got {v}"))
-                    }));
-            }
             "--bench-reactor" => args.bench_reactor = true,
             "--idle-sessions" => {
                 args.idle_sessions = num(&raw("--idle-sessions"), "--idle-sessions") as usize
@@ -222,7 +207,7 @@ fn parse_args() -> Args {
                      [--chaos SEED] [--schedules N] [--chaos-queries N] [--intensity F] \
                      [--reply-faults] [--catalog-faults] [--memo-smoke] \
                      [--mem-budget PAGES] [--bench-serve] [--min-qps F] \
-                     [--reactor poll|epoll] [--bench-reactor] [--idle-sessions N]"
+                     [--bench-reactor] [--idle-sessions N]"
                 );
                 std::process::exit(0);
             }
@@ -257,17 +242,6 @@ fn num(v: &str, name: &str) -> u64 {
 fn die(msg: String) -> ! {
     eprintln!("csqp-load: {msg}");
     std::process::exit(2)
-}
-
-/// The server configuration every inline server starts from: the
-/// defaults, with the readiness backend pinned when `--reactor` asked
-/// for one.
-fn base_server_config(reactor: Option<Backend>) -> ServerConfig {
-    let mut config = ServerConfig::default();
-    if let Some(backend) = reactor {
-        config.reactor = backend;
-    }
-    config
 }
 
 /// With both `--pipeline N` and `--chaos`, a pipelined determinism smoke
@@ -315,11 +289,11 @@ fn run_pipeline_smoke(load: &LoadConfig) -> Result<(), String> {
 /// memo-enabled and a memo-disabled server must produce byte-identical
 /// reply digests, and the memo server must report hits — proving the
 /// memo changes CPU spent, never results served.
-fn run_memo_smoke(load: &LoadConfig, reactor: Option<Backend>) -> Result<(), String> {
+fn run_memo_smoke(load: &LoadConfig) -> Result<(), String> {
     let spawn = |memo: bool| {
         Server::bind(ServerConfig {
             memo,
-            ..base_server_config(reactor)
+            ..ServerConfig::default()
         })
         .and_then(|s| s.spawn())
         .map_err(|e| format!("memo smoke server (memo={memo}) failed: {e}"))
@@ -389,15 +363,11 @@ fn run_memo_smoke(load: &LoadConfig, reactor: Option<Backend>) -> Result<(), Str
 ///    whose worst-case client join inputs exceed the budget must degrade
 ///    to QS with `mem-bound`, with zero errors and the accounting
 ///    conservation invariant intact.
-fn run_mem_budget_smoke(
-    load: &LoadConfig,
-    budget: u64,
-    reactor: Option<Backend>,
-) -> Result<(), String> {
+fn run_mem_budget_smoke(load: &LoadConfig, budget: u64) -> Result<(), String> {
     let spawn = |budget: Option<u64>| {
         Server::bind(ServerConfig {
             mem_budget_pages: budget,
-            ..base_server_config(reactor)
+            ..ServerConfig::default()
         })
         .and_then(|s| s.spawn())
         .map_err(|e| format!("mem-budget smoke server (budget={budget:?}) failed: {e}"))
@@ -520,7 +490,7 @@ fn run_chaos_twice(cfg: &ChaosConfig) -> Result<(), String> {
 /// across servers rather than back-to-back runs on one — same seed,
 /// same fresh state, same reply digest. Both recorded drift traces are
 /// audited against the staleness bound afterwards.
-fn run_catalog_chaos(chaos: &ChaosConfig, reactor: Option<Backend>) -> Result<(), String> {
+fn run_catalog_chaos(chaos: &ChaosConfig) -> Result<(), String> {
     let bound = ServerConfig::default().catalog_lag;
     let spawn = || {
         // One event thread = one shard = one catalog replica: shard
@@ -530,7 +500,7 @@ fn run_catalog_chaos(chaos: &ChaosConfig, reactor: Option<Backend>) -> Result<()
         Server::bind(ServerConfig {
             event_threads: 1,
             catalog_faults: Some(FaultPlan::new(chaos.seed, chaos.intensity)),
-            ..base_server_config(reactor)
+            ..ServerConfig::default()
         })
         .and_then(|s| s.spawn())
         .map_err(|e| format!("catalog chaos server failed: {e}"))
@@ -660,43 +630,23 @@ fn run_bench_serve(load: &LoadConfig, min_qps: Option<f64>) -> Result<(), String
     Ok(())
 }
 
-/// One backend's figures from the reactor bench.
-struct ReactorBenchRun {
-    backend: Backend,
-    digest: u64,
-    queries: u64,
-    qps: f64,
-    p99_ms: f64,
-    wait_calls: u64,
-    ctl_calls: u64,
-    events_dispatched: u64,
-}
-
-impl ReactorBenchRun {
-    /// Syscalls per second of run wall clock, derived from the load
-    /// report's own throughput (`elapsed = queries / qps`) so the bench
-    /// needs no clock of its own.
-    fn per_sec(&self, count: u64) -> f64 {
-        if self.queries == 0 {
-            return 0.0;
-        }
-        count as f64 * self.qps / self.queries as f64
-    }
-}
-
-/// Drive the pinned mixed idle+active mix against a fresh inline server
-/// on `backend` and collect its reactor counters.
-fn bench_reactor_backend(
-    load: &LoadConfig,
-    backend: Backend,
-    idle: usize,
-) -> Result<ReactorBenchRun, String> {
-    let handle = Server::bind(ServerConfig {
-        reactor: backend,
-        ..ServerConfig::default()
-    })
-    .and_then(|s| s.spawn())
-    .map_err(|e| format!("reactor bench server ({backend}) failed: {e}"))?;
+/// The reactor perf artifact: the pinned idle+active mix against an
+/// inline server, figures in `BENCH_reactor.json`. Gates: the `--min-qps`
+/// floor, and no `epoll_ctl` storm (the interest cache must keep ctl
+/// traffic proportional to work done, not to wait count).
+fn run_bench_reactor(load: &LoadConfig, min_qps: Option<f64>, idle: usize) -> Result<(), String> {
+    let queries = load.queries_per_client.unwrap_or(32);
+    let cfg = LoadConfig {
+        queries_per_client: Some(queries),
+        ..load.clone()
+    };
+    println!(
+        "csqp-load: reactor bench, seed {} ({} clients x {queries} queries + {idle} idle sessions)",
+        cfg.seed, cfg.clients
+    );
+    let handle = Server::bind(ServerConfig::default())
+        .and_then(|s| s.spawn())
+        .map_err(|e| format!("reactor bench server failed: {e}"))?;
     let result = (|| {
         // Park the idle population first, and wait for the shards to
         // adopt every socket, so the active run's waits all happen with
@@ -705,7 +655,7 @@ fn bench_reactor_backend(
         for i in 0..idle {
             parked.push(
                 std::net::TcpStream::connect(handle.addr())
-                    .map_err(|e| format!("idle connection {i} failed ({backend}): {e}"))?,
+                    .map_err(|e| format!("idle connection {i} failed: {e}"))?,
             );
         }
         let metrics = handle.service().metrics();
@@ -717,148 +667,102 @@ fn bench_reactor_backend(
         }
         if metrics.sessions_open() < idle as u64 {
             return Err(format!(
-                "only {}/{idle} idle sessions registered ({backend})",
+                "only {}/{idle} idle sessions registered",
                 metrics.sessions_open()
             ));
         }
         let report = run_load(&LoadConfig {
             addr: handle.addr().to_string(),
-            ..load.clone()
+            ..cfg.clone()
         })
-        .map_err(|e| format!("reactor bench load failed ({backend}): {e}"))?;
+        .map_err(|e| format!("reactor bench load failed: {e}"))?;
         if report.errors > 0 {
-            return Err(format!(
-                "reactor bench saw {} query errors ({backend})",
-                report.errors
-            ));
+            return Err(format!("reactor bench saw {} query errors", report.errors));
         }
         let snap = handle.service().stats_snapshot();
         drop(parked);
-        Ok(ReactorBenchRun {
-            backend,
-            digest: report.digest,
-            queries: report.queries,
-            qps: report.throughput_qps,
-            p99_ms: report.p99_ms,
-            wait_calls: snap.reactor_wait_calls,
-            ctl_calls: snap.reactor_ctl_calls,
-            events_dispatched: snap.reactor_events_dispatched,
-        })
+        Ok((report, snap))
     })();
     handle.shutdown();
-    result
-}
-
-/// The reactor perf artifact: the same pinned idle+active mix against an
-/// inline server per supported backend, figures in `BENCH_reactor.json`.
-/// Gates: byte-identical reply digests across backends, the `--min-qps`
-/// floor on every backend, and no `epoll_ctl` storm (the interest cache
-/// must keep ctl traffic proportional to work done, not to wait count).
-fn run_bench_reactor(load: &LoadConfig, min_qps: Option<f64>, idle: usize) -> Result<(), String> {
-    let queries = load.queries_per_client.unwrap_or(32);
-    let cfg = LoadConfig {
-        queries_per_client: Some(queries),
-        ..load.clone()
+    let (report, snap) = result?;
+    // Syscalls per second of run wall clock, derived from the load
+    // report's own throughput (`elapsed = queries / qps`) so the bench
+    // needs no clock of its own.
+    let per_sec = |count: u64| {
+        if report.queries == 0 {
+            0.0
+        } else {
+            count as f64 * report.throughput_qps / report.queries as f64
+        }
     };
     println!(
-        "csqp-load: reactor bench, seed {} ({} clients x {queries} queries + {idle} idle sessions)",
-        cfg.seed, cfg.clients
+        "csqp-load: {:.1} qps, p99 {:.1} ms, {} waits ({:.1}/s), \
+         {} ctls, {} events ({:.1}/s), digest {:016x}",
+        report.throughput_qps,
+        report.p99_ms,
+        snap.reactor_wait_calls,
+        per_sec(snap.reactor_wait_calls),
+        snap.reactor_ctl_calls,
+        snap.reactor_events_dispatched,
+        per_sec(snap.reactor_events_dispatched),
+        report.digest
     );
-    let mut runs = Vec::new();
-    for &backend in Backend::all_supported() {
-        let run = bench_reactor_backend(&cfg, backend, idle)?;
-        println!(
-            "csqp-load: {}: {:.1} qps, p99 {:.1} ms, {} waits ({:.1}/s), \
-             {} ctls, {} events ({:.1}/s), digest {:016x}",
-            run.backend,
-            run.qps,
-            run.p99_ms,
-            run.wait_calls,
-            run.per_sec(run.wait_calls),
-            run.ctl_calls,
-            run.events_dispatched,
-            run.per_sec(run.events_dispatched),
-            run.digest
-        );
-        runs.push(run);
-    }
-    for pair in runs.windows(2) {
-        if pair[0].digest != pair[1].digest {
+    if let Some(floor) = min_qps {
+        if report.throughput_qps < floor {
             return Err(format!(
-                "reactor digest mismatch: {:016x} under {} vs {:016x} under {}",
-                pair[0].digest, pair[0].backend, pair[1].digest, pair[1].backend
+                "throughput {:.1} qps fell below the --min-qps floor {floor:.1}",
+                report.throughput_qps
             ));
         }
     }
-    let active = cfg.clients as u64;
-    for run in &runs {
-        if let Some(floor) = min_qps {
-            if run.qps < floor {
-                return Err(format!(
-                    "{} throughput {:.1} qps fell below the --min-qps floor {floor:.1}",
-                    run.backend, run.qps
-                ));
-            }
-        }
-        if run.backend == Backend::Epoll {
-            // The interest-cache regression gate: ctl traffic must be
-            // proportional to queries and session churn, never to wait
-            // count (an uncached backend would re-register the whole
-            // table every wait — idle × waits, orders of magnitude
-            // bigger).
-            let budget = 8 * run.queries + 4 * (idle as u64 + active) + 64;
-            if run.ctl_calls > budget {
-                return Err(format!(
-                    "epoll_ctl storm: {} ctl calls exceed the cache budget {budget} \
-                     ({} queries, {idle} idle sessions)",
-                    run.ctl_calls, run.queries
-                ));
-            }
-        }
+    // The interest-cache regression gate: ctl traffic must be
+    // proportional to queries and session churn, never to wait count (an
+    // uncached backend would re-register the whole table every wait —
+    // idle × waits, orders of magnitude bigger). `poll` issues no ctl
+    // calls, so the gate holds trivially off Linux.
+    let budget = 8 * report.queries + 4 * (idle as u64 + cfg.clients as u64) + 64;
+    if snap.reactor_ctl_calls > budget {
+        return Err(format!(
+            "epoll_ctl storm: {} ctl calls exceed the cache budget {budget} \
+             ({} queries, {idle} idle sessions)",
+            snap.reactor_ctl_calls, report.queries
+        ));
     }
-    let backends: Vec<Json> = runs
-        .iter()
-        .map(|run| {
-            obj(vec![
-                ("backend", Json::from(run.backend.name())),
-                ("queries", Json::from(run.queries)),
-                ("throughput_qps", Json::from(run.qps)),
-                ("p99_ms", Json::from(run.p99_ms)),
-                ("wait_calls", Json::from(run.wait_calls)),
-                (
-                    "wait_calls_per_sec",
-                    Json::from(run.per_sec(run.wait_calls)),
-                ),
-                ("ctl_calls", Json::from(run.ctl_calls)),
-                ("events_dispatched", Json::from(run.events_dispatched)),
-                (
-                    "events_per_sec",
-                    Json::from(run.per_sec(run.events_dispatched)),
-                ),
-            ])
-        })
-        .collect();
     let bench = obj(vec![
         ("bench", Json::from("csqp-load --bench-reactor")),
+        ("target_os", Json::from(std::env::consts::OS)),
         ("seed", Json::from(cfg.seed)),
         ("clients", Json::from(cfg.clients as u64)),
         ("queries_per_client", Json::from(queries)),
         ("idle_sessions", Json::from(idle as u64)),
-        ("backends", Json::from(backends)),
+        ("queries", Json::from(report.queries)),
+        ("throughput_qps", Json::from(report.throughput_qps)),
+        ("p99_ms", Json::from(report.p99_ms)),
+        ("wait_calls", Json::from(snap.reactor_wait_calls)),
+        (
+            "wait_calls_per_sec",
+            Json::from(per_sec(snap.reactor_wait_calls)),
+        ),
+        ("ctl_calls", Json::from(snap.reactor_ctl_calls)),
+        (
+            "events_dispatched",
+            Json::from(snap.reactor_events_dispatched),
+        ),
+        (
+            "events_per_sec",
+            Json::from(per_sec(snap.reactor_events_dispatched)),
+        ),
     ]);
     std::fs::write("BENCH_reactor.json", bench.render_pretty() + "\n")
         .map_err(|e| format!("writing BENCH_reactor.json failed: {e}"))?;
-    println!(
-        "csqp-load: wrote BENCH_reactor.json ({} backends, digests agree)",
-        runs.len()
-    );
+    println!("csqp-load: wrote BENCH_reactor.json");
     Ok(())
 }
 
 fn main() -> ExitCode {
     let mut args = parse_args();
 
-    // The reactor bench manages its own inline server per backend.
+    // The reactor bench manages its own inline server.
     if args.bench_reactor {
         return match run_bench_reactor(&args.load, args.min_qps, args.idle_sessions) {
             Ok(()) => ExitCode::SUCCESS,
@@ -871,7 +775,7 @@ fn main() -> ExitCode {
 
     // The memo smoke manages its own pair of inline servers.
     if args.memo_smoke {
-        return match run_memo_smoke(&args.load, args.reactor) {
+        return match run_memo_smoke(&args.load) {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) => {
                 eprintln!("csqp-load: {msg}");
@@ -883,7 +787,7 @@ fn main() -> ExitCode {
     // The mem-budget smoke manages its own starved/unbudgeted pair of
     // inline servers.
     if let Some(budget) = args.mem_budget_smoke {
-        return match run_mem_budget_smoke(&args.load, budget, args.reactor) {
+        return match run_mem_budget_smoke(&args.load, budget) {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) => {
                 eprintln!("csqp-load: {msg}");
@@ -897,7 +801,7 @@ fn main() -> ExitCode {
     // across servers, not runs).
     if let Some(chaos) = &args.chaos {
         if chaos.catalog_faults {
-            return match run_catalog_chaos(chaos, args.reactor) {
+            return match run_catalog_chaos(chaos) {
                 Ok(()) => ExitCode::SUCCESS,
                 Err(msg) => {
                     eprintln!("csqp-load: {msg}");
@@ -911,7 +815,7 @@ fn main() -> ExitCode {
     // `--reply-faults` it is armed with the plan the soak expects
     // (seeded from `--chaos SEED` and `--intensity`).
     let inline = if args.serve_inline {
-        let mut config = base_server_config(args.reactor);
+        let mut config = ServerConfig::default();
         if let Some(chaos) = &args.chaos {
             if chaos.reply_faults {
                 config.reply_faults = Some(FaultPlan::new(chaos.seed, chaos.intensity));

@@ -4,9 +4,8 @@
 //! ```text
 //! cargo run --release --bin csqp-serve -- [--addr HOST:PORT] [--servers N]
 //!     [--workers N] [--queue N] [--high-water N] [--placement-seed S]
-//!     [--pipeline-depth N] [--event-threads N] [--reactor poll|epoll]
-//!     [--memo-bytes N] [--no-memo] [--catalog-lag N] [--mem-budget PAGES]
-//!     [--seconds T]
+//!     [--pipeline-depth N] [--event-threads N] [--memo-bytes N]
+//!     [--no-memo] [--catalog-lag N] [--mem-budget PAGES] [--seconds T]
 //! ```
 //!
 //! `--high-water N` sets the admission high-water mark: past N in-flight
@@ -35,10 +34,8 @@
 //! reactor loops (`--event-threads`) multiplexing every connection, with
 //! up to `--pipeline-depth` queries in flight per session (capped at 16
 //! so the session machine stays finite and model-checkable — see
-//! `csqp-check --protocol`). `--reactor` picks the readiness backend:
-//! `epoll` (the Linux default, O(ready) waits behind an interest cache)
-//! or `poll` (the portable O(sessions) sweep); served bytes are
-//! identical either way.
+//! `csqp-check --protocol`). The loops wait on `epoll(7)` on Linux and
+//! on `poll(2)` elsewhere; the target OS fixes the choice at build time.
 //!
 //! Without `--seconds` the server runs until killed, printing a metrics
 //! line every 10 seconds; with it, the server shuts down gracefully after
@@ -85,11 +82,6 @@ fn parse_args() -> Args {
             "--event-threads" => {
                 args.config.event_threads = num(&raw("--event-threads"), "--event-threads") as usize
             }
-            "--reactor" => {
-                let v = raw("--reactor");
-                args.config.reactor = csqp::net::poll::Backend::parse(&v)
-                    .unwrap_or_else(|| die(format!("--reactor must be poll or epoll, got {v}")));
-            }
             "--memo-bytes" => {
                 args.config.memo_bytes = num(&raw("--memo-bytes"), "--memo-bytes") as usize
             }
@@ -111,9 +103,8 @@ fn parse_args() -> Args {
                 println!(
                     "usage: csqp-serve [--addr HOST:PORT] [--servers N] [--workers N] \
                      [--queue N] [--high-water N] [--placement-seed S] \
-                     [--pipeline-depth N] [--event-threads N] [--reactor poll|epoll] \
-                     [--memo-bytes N] [--no-memo] [--catalog-lag N] \
-                     [--mem-budget PAGES] [--seconds T]"
+                     [--pipeline-depth N] [--event-threads N] [--memo-bytes N] \
+                     [--no-memo] [--catalog-lag N] [--mem-budget PAGES] [--seconds T]"
                 );
                 std::process::exit(0);
             }
