@@ -44,6 +44,8 @@ pub mod process;
 
 #[cfg(test)]
 mod kernel_tests;
+#[cfg(test)]
+mod sim_wall;
 
 pub use build::{ExecutionBuilder, ServerLoad};
 pub use csqp_net::LinkStats;
