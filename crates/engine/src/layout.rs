@@ -10,17 +10,16 @@
 //! temporary storage, separate regions of the disk are allocated for each
 //! of these purposes", §3.2.1).
 
-use std::collections::HashMap;
-
 use csqp_catalog::{Catalog, QuerySpec, RelId, SiteId, SystemConfig};
 use csqp_disk::{Extent, ExtentAllocator};
 
-/// Layout state for all sites of one execution.
+/// Layout state for all sites of one execution. Extents are indexed by
+/// [`RelId::index`]: a query's relation ids are dense `0..n`.
 #[derive(Debug)]
 pub struct Layout {
     allocators: Vec<ExtentAllocator>,
-    rel_extents: HashMap<RelId, Extent>,
-    cache_extents: HashMap<RelId, Extent>,
+    rel_extents: Vec<Extent>,
+    cache_extents: Vec<Option<Extent>>,
 }
 
 impl Layout {
@@ -36,16 +35,15 @@ impl Layout {
         let mut allocators: Vec<ExtentAllocator> = (0..num_sites)
             .map(|_| ExtentAllocator::new(capacity))
             .collect();
-        let mut rel_extents = HashMap::new();
-        let mut cache_extents = HashMap::new();
+        let mut rel_extents = Vec::with_capacity(query.relations.len());
+        let mut cache_extents = Vec::with_capacity(query.relations.len());
         for rel in &query.relations {
             let pages = rel.pages(config.page_size);
             let server = catalog.primary_site(rel.id);
-            rel_extents.insert(rel.id, allocators[server.index()].alloc(pages));
+            rel_extents.push(allocators[server.index()].alloc(pages));
             let cached = catalog.cached_pages(rel.id, pages);
-            if cached > 0 {
-                cache_extents.insert(rel.id, allocators[SiteId::CLIENT.index()].alloc(cached));
-            }
+            cache_extents
+                .push((cached > 0).then(|| allocators[SiteId::CLIENT.index()].alloc(cached)));
         }
         Layout {
             allocators,
@@ -56,12 +54,12 @@ impl Layout {
 
     /// Extent of a relation's primary copy.
     pub fn relation(&self, rel: RelId) -> Extent {
-        self.rel_extents[&rel]
+        self.rel_extents[rel.index()]
     }
 
     /// Extent of the client-cached prefix, if any pages are cached.
     pub fn cache(&self, rel: RelId) -> Option<Extent> {
-        self.cache_extents.get(&rel).copied()
+        self.cache_extents.get(rel.index()).copied().flatten()
     }
 
     /// Allocate temp space (join spill partitions) on a site's disk.

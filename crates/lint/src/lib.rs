@@ -248,12 +248,6 @@ pub const ALLOWLIST: &[Allow] = &[
     },
     // ---- hash-iter-order: uses whose ordering provably cannot leak ----
     Allow {
-        path: "crates/engine/src/layout.rs",
-        rule: RuleKind::HashOrder,
-        why: "extent maps are point-lookups by RelId; page layout order \
-              derives from the sorted catalog, never from map iteration",
-    },
-    Allow {
         path: "crates/net/src/chaos.rs",
         rule: RuleKind::HashOrder,
         why: "test-only HashSet for dedup assertions; only membership and \
