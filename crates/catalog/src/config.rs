@@ -244,6 +244,8 @@ mod tests {
         assert_eq!(c.msg_cpu_instr(4096), 32_000);
         assert_eq!(c.msg_cpu_instr(0), 20_000);
         assert_eq!(c.msg_cpu_instr(2048), 26_000);
+        // A 256-byte control message (`csqp_net::CONTROL_MSG_BYTES`).
+        assert_eq!(c.msg_cpu_instr(256), 20_750);
     }
 
     #[test]

@@ -20,12 +20,13 @@ struct MiniProducer {
 }
 
 impl OperatorProc for MiniProducer {
-    fn resume(&mut self, _input: ResumeInput) -> Vec<Action> {
+    fn resume(&mut self, _input: ResumeInput, out: &mut Vec<Action>) {
         if self.emitted == self.count {
-            return vec![Action::Close { channel: self.out }, Action::Done];
+            out.extend([Action::Close { channel: self.out }, Action::Done]);
+            return;
         }
         self.emitted += 1;
-        vec![
+        out.extend([
             Action::Cpu {
                 site: self.site,
                 instr: self.cpu,
@@ -34,7 +35,7 @@ impl OperatorProc for MiniProducer {
                 channel: self.out,
                 page: Page { tuples: 40 },
             },
-        ]
+        ]);
     }
     fn label(&self) -> String {
         "mini-producer".into()
@@ -51,17 +52,18 @@ struct MiniConsumer {
 }
 
 impl OperatorProc for MiniConsumer {
-    fn resume(&mut self, input: ResumeInput) -> Vec<Action> {
+    fn resume(&mut self, input: ResumeInput, out: &mut Vec<Action>) {
         if !self.started {
             self.started = true;
-            return vec![Action::AwaitInput {
+            out.push(Action::AwaitInput {
                 channel: self.input,
-            }];
+            });
+            return;
         }
         match input {
             ResumeInput::Page(p) => {
                 self.seen.set(self.seen.get() + p.tuples);
-                vec![
+                out.extend([
                     Action::Cpu {
                         site: self.site,
                         instr: self.cpu,
@@ -69,9 +71,9 @@ impl OperatorProc for MiniConsumer {
                     Action::AwaitInput {
                         channel: self.input,
                     },
-                ]
+                ]);
             }
-            ResumeInput::EndOfStream => vec![Action::Done],
+            ResumeInput::EndOfStream => out.push(Action::Done),
             ResumeInput::None => unreachable!(),
         }
     }
@@ -174,16 +176,17 @@ struct DiskToucher {
 }
 
 impl OperatorProc for DiskToucher {
-    fn resume(&mut self, _input: ResumeInput) -> Vec<Action> {
+    fn resume(&mut self, _input: ResumeInput, out: &mut Vec<Action>) {
         if self.done == self.reads {
-            return vec![Action::Done];
+            out.push(Action::Done);
+            return;
         }
         let addr = DiskAddr(self.done);
         self.done += 1;
-        vec![Action::DiskRead {
+        out.push(Action::DiskRead {
             site: self.site,
             addr,
-        }]
+        });
     }
     fn label(&self) -> String {
         "disk-toucher".into()
@@ -223,19 +226,17 @@ struct WriterThenDrain {
 }
 
 impl OperatorProc for WriterThenDrain {
-    fn resume(&mut self, _input: ResumeInput) -> Vec<Action> {
+    fn resume(&mut self, _input: ResumeInput, out: &mut Vec<Action>) {
         if self.wrote {
-            return vec![Action::Done];
+            out.push(Action::Done);
+            return;
         }
         self.wrote = true;
-        let mut acts: Vec<Action> = (0..8)
-            .map(|i| Action::DiskWriteAsync {
-                site: self.site,
-                addr: DiskAddr(i * 100),
-            })
-            .collect();
-        acts.push(Action::DrainWrites);
-        acts
+        out.extend((0..8).map(|i| Action::DiskWriteAsync {
+            site: self.site,
+            addr: DiskAddr(i * 100),
+        }));
+        out.push(Action::DrainWrites);
     }
     fn label(&self) -> String {
         "writer".into()
@@ -264,14 +265,15 @@ struct Starver {
 }
 
 impl OperatorProc for Starver {
-    fn resume(&mut self, _input: ResumeInput) -> Vec<Action> {
+    fn resume(&mut self, _input: ResumeInput, out: &mut Vec<Action>) {
         if !self.started {
             self.started = true;
-            return vec![Action::AwaitInput {
+            out.push(Action::AwaitInput {
                 channel: self.input,
-            }];
+            });
+            return;
         }
-        vec![Action::Done]
+        out.push(Action::Done);
     }
     fn label(&self) -> String {
         "starver".into()
@@ -296,14 +298,15 @@ fn sleep_advances_virtual_time() {
         slept: bool,
     }
     impl OperatorProc for Sleeper {
-        fn resume(&mut self, _input: ResumeInput) -> Vec<Action> {
+        fn resume(&mut self, _input: ResumeInput, out: &mut Vec<Action>) {
             if self.slept {
-                return vec![Action::Done];
+                out.push(Action::Done);
+                return;
             }
             self.slept = true;
-            vec![Action::Sleep {
+            out.push(Action::Sleep {
                 dur: SimDuration::from_millis(250),
-            }]
+            });
         }
         fn label(&self) -> String {
             "sleeper".into()

@@ -51,32 +51,31 @@ impl AggregateProc {
 }
 
 impl OperatorProc for AggregateProc {
-    fn resume(&mut self, input: ResumeInput) -> Vec<Action> {
+    fn resume(&mut self, input: ResumeInput, acts: &mut Vec<Action>) {
         if !self.started {
             self.started = true;
-            return vec![Action::AwaitInput {
+            acts.push(Action::AwaitInput {
                 channel: self.input,
-            }];
+            });
+            return;
         }
         match input {
             ResumeInput::Page(p) => {
                 self.seen += p.tuples;
-                vec![
-                    Action::Cpu {
-                        site: self.site,
-                        instr: p.tuples * self.hash_inst,
-                    },
-                    Action::AwaitInput {
-                        channel: self.input,
-                    },
-                ]
+                acts.push(Action::Cpu {
+                    site: self.site,
+                    instr: p.tuples * self.hash_inst,
+                });
+                acts.push(Action::AwaitInput {
+                    channel: self.input,
+                });
             }
             ResumeInput::EndOfStream => {
                 let mut out_tuples = self.groups.min(self.seen);
-                let mut acts = vec![Action::Cpu {
+                acts.push(Action::Cpu {
                     site: self.site,
                     instr: out_tuples * self.move_tuple_instr,
-                }];
+                });
                 while out_tuples > 0 {
                     let t = out_tuples.min(self.tuples_per_page);
                     acts.push(Action::Emit {
@@ -87,7 +86,6 @@ impl OperatorProc for AggregateProc {
                 }
                 acts.push(Action::Close { channel: self.out });
                 acts.push(Action::Done);
-                acts
             }
             ResumeInput::None => unreachable!("aggregate resumed without input after start"),
         }

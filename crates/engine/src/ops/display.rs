@@ -38,27 +38,26 @@ impl DisplayProc {
 }
 
 impl OperatorProc for DisplayProc {
-    fn resume(&mut self, input: ResumeInput) -> Vec<Action> {
+    fn resume(&mut self, input: ResumeInput, out: &mut Vec<Action>) {
         if !self.started {
             self.started = true;
-            return vec![Action::AwaitInput {
+            out.push(Action::AwaitInput {
                 channel: self.input,
-            }];
+            });
+            return;
         }
         match input {
             ResumeInput::Page(p) => {
                 self.tuples_seen.set(self.tuples_seen.get() + p.tuples);
-                vec![
-                    Action::Cpu {
-                        site: self.site,
-                        instr: self.display_inst * p.tuples,
-                    },
-                    Action::AwaitInput {
-                        channel: self.input,
-                    },
-                ]
+                out.push(Action::Cpu {
+                    site: self.site,
+                    instr: self.display_inst * p.tuples,
+                });
+                out.push(Action::AwaitInput {
+                    channel: self.input,
+                });
             }
-            ResumeInput::EndOfStream => vec![Action::Done],
+            ResumeInput::EndOfStream => out.push(Action::Done),
             ResumeInput::None => unreachable!("display resumed without input after start"),
         }
     }

@@ -226,8 +226,7 @@ impl JoinProc {
         }
     }
 
-    fn finish(&mut self) -> Vec<Action> {
-        let mut acts = Vec::new();
+    fn finish(&mut self, acts: &mut Vec<Action>) {
         let rem = self.out_acc.round() as u64;
         if rem > 0 {
             acts.push(Action::Emit {
@@ -239,7 +238,6 @@ impl JoinProc {
         self.state = JState::Finished;
         acts.push(Action::Close { channel: self.out });
         acts.push(Action::Done);
-        acts
     }
 
     /// CPU instructions to build `t` tuples into the hash table.
@@ -255,12 +253,12 @@ impl JoinProc {
     }
 
     /// The partition-phase step: next page batch, advancing state.
-    fn partition_step(&mut self) -> Vec<Action> {
+    fn partition_step(&mut self, acts: &mut Vec<Action>) {
         loop {
             match self.state {
                 JState::PartInner(b, i) => {
                     if b == self.inner_parts.len() {
-                        return self.finish();
+                        return self.finish(acts);
                     }
                     let part = &self.inner_parts[b];
                     if i >= part.pages {
@@ -273,14 +271,13 @@ impl JoinProc {
                         part.tuples / part.pages as f64
                     };
                     let addr = part.extent.page(i);
-                    let mut acts = Vec::with_capacity(3);
-                    disk_read(self.site, addr, self.costs.disk_inst, &mut acts);
+                    disk_read(self.site, addr, self.costs.disk_inst, acts);
                     acts.push(Action::Cpu {
                         site: self.site,
                         instr: self.build_instr(tuples),
                     });
                     self.state = JState::PartInner(b, i + 1);
-                    return acts;
+                    return;
                 }
                 JState::PartOuter(b, i) => {
                     let part = &self.outer_parts[b];
@@ -291,15 +288,14 @@ impl JoinProc {
                     let tuples = part.tuples / part.pages as f64;
                     let addr = part.extent.page(i);
                     let produced = tuples * self.out_ratio;
-                    let mut acts = Vec::with_capacity(5);
-                    disk_read(self.site, addr, self.costs.disk_inst, &mut acts);
+                    disk_read(self.site, addr, self.costs.disk_inst, acts);
                     acts.push(Action::Cpu {
                         site: self.site,
                         instr: self.probe_instr(tuples, produced),
                     });
-                    self.produce(produced, &mut acts);
+                    self.produce(produced, acts);
                     self.state = JState::PartOuter(b, i + 1);
-                    return acts;
+                    return;
                 }
                 _ => unreachable!("partition_step outside the partition phase"),
             }
@@ -308,77 +304,69 @@ impl JoinProc {
 }
 
 impl OperatorProc for JoinProc {
-    fn resume(&mut self, input: ResumeInput) -> Vec<Action> {
+    fn resume(&mut self, input: ResumeInput, acts: &mut Vec<Action>) {
         match self.state {
             JState::Start => {
                 self.state = JState::Build;
-                vec![Action::AwaitInput {
+                acts.push(Action::AwaitInput {
                     channel: self.inner,
-                }]
+                });
             }
             JState::Build => match input {
                 ResumeInput::Page(p) => {
-                    let mut acts = Vec::with_capacity(6);
                     acts.push(Action::Cpu {
                         site: self.site,
                         instr: self.build_instr(p.tuples as f64),
                     });
                     if self.spills() {
                         let spilled = p.tuples as f64 * (1.0 - self.resident_frac);
-                        self.spill(spilled, true, &mut acts);
+                        self.spill(spilled, true, acts);
                     }
                     acts.push(Action::AwaitInput {
                         channel: self.inner,
                     });
-                    acts
                 }
                 ResumeInput::EndOfStream => {
                     self.state = JState::Probe;
-                    let mut acts = Vec::with_capacity(3);
                     if self.spills() {
-                        self.flush_spill(true, &mut acts);
+                        self.flush_spill(true, acts);
                         acts.push(Action::DrainWrites);
                     }
                     acts.push(Action::AwaitInput {
                         channel: self.outer,
                     });
-                    acts
                 }
                 ResumeInput::None => unreachable!("build resumed without input"),
             },
             JState::Probe => match input {
                 ResumeInput::Page(p) => {
-                    let mut acts = Vec::with_capacity(8);
                     let resident = p.tuples as f64 * self.resident_frac;
                     let produced = resident * self.out_ratio;
                     acts.push(Action::Cpu {
                         site: self.site,
                         instr: self.probe_instr(p.tuples as f64, produced),
                     });
-                    self.produce(produced, &mut acts);
+                    self.produce(produced, acts);
                     if self.spills() {
                         let spilled = p.tuples as f64 * (1.0 - self.resident_frac);
-                        self.spill(spilled, false, &mut acts);
+                        self.spill(spilled, false, acts);
                     }
                     acts.push(Action::AwaitInput {
                         channel: self.outer,
                     });
-                    acts
                 }
                 ResumeInput::EndOfStream => {
                     if self.spills() {
-                        let mut acts = Vec::with_capacity(3);
-                        self.flush_spill(false, &mut acts);
+                        self.flush_spill(false, acts);
                         acts.push(Action::DrainWrites);
                         self.state = JState::PartInner(0, 0);
-                        acts
                     } else {
-                        self.finish()
+                        self.finish(acts)
                     }
                 }
                 ResumeInput::None => unreachable!("probe resumed without input"),
             },
-            JState::PartInner(..) | JState::PartOuter(..) => self.partition_step(),
+            JState::PartInner(..) | JState::PartOuter(..) => self.partition_step(acts),
             JState::Finished => unreachable!("join resumed after Done"),
         }
     }

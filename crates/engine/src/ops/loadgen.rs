@@ -47,16 +47,14 @@ impl LoadGenProc {
 }
 
 impl OperatorProc for LoadGenProc {
-    fn resume(&mut self, _input: ResumeInput) -> Vec<Action> {
+    fn resume(&mut self, _input: ResumeInput, out: &mut Vec<Action>) {
         let addr = DiskAddr(self.rng.below(self.disk_capacity_pages as usize) as u64);
         let dur = self.rng.exp_duration(self.mean_interarrival);
-        vec![
-            Action::DiskReadAsync {
-                site: self.site,
-                addr,
-            },
-            Action::Sleep { dur },
-        ]
+        out.push(Action::DiskReadAsync {
+            site: self.site,
+            addr,
+        });
+        out.push(Action::Sleep { dur });
     }
 
     fn label(&self) -> String {

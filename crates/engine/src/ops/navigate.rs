@@ -75,9 +75,10 @@ impl OperatorProc for NavigatorProc {
     // Invariant panic: the builder passes a cache extent whenever
     // `cached_pages > 0`, the only case that reads it.
     #[allow(clippy::expect_used)]
-    fn resume(&mut self, _input: ResumeInput) -> Vec<Action> {
+    fn resume(&mut self, _input: ResumeInput, acts: &mut Vec<Action>) {
         if self.done == self.steps {
-            return vec![Action::Done];
+            acts.push(Action::Done);
+            return;
         }
         self.done += 1;
         self.cursor = if self.rng.chance(self.locality) {
@@ -86,10 +87,9 @@ impl OperatorProc for NavigatorProc {
             self.rng.below(self.total_pages as usize) as u64
         };
         let i = self.cursor;
-        let mut acts = Vec::with_capacity(9);
         if i < self.cached_pages {
             let ext = self.cache_extent.expect("cached pages imply an extent");
-            disk_read(self.client, ext.page(i), self.costs.disk_inst, &mut acts);
+            disk_read(self.client, ext.page(i), self.costs.disk_inst, acts);
         } else {
             acts.push(Action::Cpu {
                 site: self.client,
@@ -107,7 +107,7 @@ impl OperatorProc for NavigatorProc {
                 self.server,
                 self.rel_extent.page(i),
                 self.costs.disk_inst,
-                &mut acts,
+                acts,
             );
             acts.push(Action::Cpu {
                 site: self.server,
@@ -122,7 +122,6 @@ impl OperatorProc for NavigatorProc {
                 instr: self.costs.page_msg_instr,
             });
         }
-        acts
     }
 
     fn label(&self) -> String {

@@ -99,28 +99,29 @@ impl OperatorProc for ScanProc {
     // Invariant panic: the builder passes a cache extent whenever
     // `cached_pages > 0`, the only case that reads it.
     #[allow(clippy::expect_used)]
-    fn resume(&mut self, _input: ResumeInput) -> Vec<Action> {
+    fn resume(&mut self, _input: ResumeInput, acts: &mut Vec<Action>) {
         if self.cursor == self.total_pages {
-            return vec![Action::Close { channel: self.out }, Action::Done];
+            acts.push(Action::Close { channel: self.out });
+            acts.push(Action::Done);
+            return;
         }
         let i = self.cursor;
         self.cursor += 1;
         let tuples = (self.total_tuples - i * self.tuples_per_page).min(self.tuples_per_page);
         let page = Page { tuples };
-        let mut acts = Vec::with_capacity(9);
         if self.site == self.server {
             // Local scan at the primary copy.
             disk_read(
                 self.site,
                 self.rel_extent.page(i),
                 self.costs.disk_inst,
-                &mut acts,
+                acts,
             );
         } else if i < self.cached_pages {
             // Cached prefix on the client disk (footnote 8: contiguous
             // regions are cached).
             let ext = self.cache_extent.expect("cached pages imply an extent");
-            disk_read(self.site, ext.page(i), self.costs.disk_inst, &mut acts);
+            disk_read(self.site, ext.page(i), self.costs.disk_inst, acts);
         } else {
             // Synchronous per-page fault RPC.
             acts.push(Action::Cpu {
@@ -139,7 +140,7 @@ impl OperatorProc for ScanProc {
                 self.server,
                 self.rel_extent.page(i),
                 self.costs.disk_inst,
-                &mut acts,
+                acts,
             );
             acts.push(Action::Cpu {
                 site: self.server,
@@ -158,7 +159,6 @@ impl OperatorProc for ScanProc {
             channel: self.out,
             page,
         });
-        acts
     }
 
     fn label(&self) -> String {

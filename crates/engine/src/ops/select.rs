@@ -62,12 +62,13 @@ impl SelectProc {
 }
 
 impl OperatorProc for SelectProc {
-    fn resume(&mut self, input: ResumeInput) -> Vec<Action> {
+    fn resume(&mut self, input: ResumeInput, acts: &mut Vec<Action>) {
         if !self.started {
             self.started = true;
-            return vec![Action::AwaitInput {
+            acts.push(Action::AwaitInput {
                 channel: self.input,
-            }];
+            });
+            return;
         }
         match input {
             ResumeInput::Page(p) => {
@@ -75,18 +76,16 @@ impl OperatorProc for SelectProc {
                 let instr = p.tuples * self.compare_inst
                     + (survivors * self.move_tuple_instr as f64) as u64;
                 self.acc += survivors;
-                let mut acts = vec![Action::Cpu {
+                acts.push(Action::Cpu {
                     site: self.site,
                     instr,
-                }];
-                self.drain_full_pages(&mut acts);
+                });
+                self.drain_full_pages(acts);
                 acts.push(Action::AwaitInput {
                     channel: self.input,
                 });
-                acts
             }
             ResumeInput::EndOfStream => {
-                let mut acts = Vec::new();
                 let rem = self.acc.round() as u64;
                 if rem > 0 {
                     acts.push(Action::Emit {
@@ -96,7 +95,6 @@ impl OperatorProc for SelectProc {
                 }
                 acts.push(Action::Close { channel: self.out });
                 acts.push(Action::Done);
-                acts
             }
             ResumeInput::None => {
                 unreachable!("select resumed without input after start")

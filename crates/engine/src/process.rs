@@ -1,4 +1,10 @@
 //! The process abstraction: operators as resumable state machines.
+//!
+//! The kernel resumes an operator with the outcome of its last
+//! `AwaitInput` and the operator appends its next batch of [`Action`]s
+//! to a buffer the kernel owns and reuses for the process's whole life,
+//! so a resume allocates nothing once the buffer has grown to the
+//! operator's largest batch.
 
 use csqp_catalog::SiteId;
 use csqp_disk::DiskAddr;
@@ -35,7 +41,7 @@ pub enum ResumeInput {
 /// Actions in a batch run sequentially. `AwaitInput` must be the final
 /// action of its batch (its result is delivered to the next resume);
 /// `Done` terminates the process.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum Action {
     /// Occupy `site`'s CPU for `instr` instructions.
     Cpu {
@@ -114,11 +120,12 @@ pub enum Action {
 }
 
 /// An operator process. `resume` is called with the result of the
-/// previous batch's `AwaitInput` (or [`ResumeInput::None`]) and returns
-/// the next batch of actions.
+/// previous batch's `AwaitInput` (or [`ResumeInput::None`]) and appends
+/// the next batch of actions to `out`.
 pub trait OperatorProc {
-    /// Produce the next batch of actions.
-    fn resume(&mut self, input: ResumeInput) -> Vec<Action>;
+    /// Append the next batch of actions to `out`, which the kernel hands
+    /// over empty; the batch must not be empty.
+    fn resume(&mut self, input: ResumeInput, out: &mut Vec<Action>);
 
     /// Short label for diagnostics.
     fn label(&self) -> String;
