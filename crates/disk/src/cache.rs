@@ -46,6 +46,7 @@ impl ControllerCache {
 
     /// Look up a read. Returns true on a cache hit. On a miss the caller
     /// services the request from media and then calls [`Self::fill`].
+    #[inline]
     pub fn lookup(&mut self, geo: &Geometry, addr: DiskAddr) -> bool {
         self.clock += 1;
         let track = geo.track_index(addr);
@@ -66,6 +67,7 @@ impl ControllerCache {
     // Invariant panic: the eviction scan runs only when `segments.len()`
     // equals `max_segments`, which is at least one, so a minimum exists.
     #[allow(clippy::expect_used)]
+    #[inline]
     pub fn fill(&mut self, geo: &Geometry, addr: DiskAddr) {
         let track = geo.track_index(addr);
         let from = DiskAddr(addr.0 + 1);
@@ -95,6 +97,7 @@ impl ControllerCache {
     }
 
     /// Invalidate any segment covering `addr`'s track (called on writes).
+    #[inline]
     pub fn invalidate(&mut self, geo: &Geometry, addr: DiskAddr) {
         let track = geo.track_index(addr);
         self.segments.retain(|s| s.track != track);

@@ -114,6 +114,7 @@ impl<T> Disk<T> {
     /// Submit a request. Returns its completion time when the disk was
     /// idle (the caller schedules the completion event); `None` when it
     /// joined the elevator queue.
+    #[inline]
     pub fn submit(&mut self, now: SimTime, req: DiskRequest<T>) -> Option<SimTime> {
         if self.in_service.is_none() {
             Some(now + self.dispatch(req))
@@ -130,6 +131,7 @@ impl<T> Disk<T> {
     // Invariant panic, as in `FifoServer::finish_current`: completing an
     // idle disk is a caller bug the simulator cannot recover from.
     #[allow(clippy::expect_used)]
+    #[inline]
     pub fn finish_current(&mut self, now: SimTime) -> (T, Option<SimTime>) {
         let done = self
             .in_service
@@ -168,6 +170,7 @@ impl<T> Disk<T> {
 
     /// Move `req` into service, updating head/cache state; returns its
     /// service time.
+    #[inline]
     fn dispatch(&mut self, req: DiskRequest<T>) -> SimDuration {
         let dur = self.service(req.addr, req.kind);
         match req.kind {
@@ -181,6 +184,7 @@ impl<T> Disk<T> {
 
     /// Compute the service time and update head, cache and streaming
     /// state.
+    #[inline]
     fn service(&mut self, addr: DiskAddr, kind: IoKind) -> SimDuration {
         let p = &self.params;
         let geo = &p.geometry;

@@ -50,6 +50,7 @@ impl<T> Elevator<T> {
     }
 
     /// Enqueue a request at the given physical position.
+    #[inline]
     pub fn push(&mut self, cylinder: u64, track: u64, offset: u64, item: T) {
         let key = Key {
             cylinder,
@@ -70,6 +71,7 @@ impl<T> Elevator<T> {
     /// highest key below it. Sweeping down, it is the highest key on or
     /// below the head's cylinder (requests on the head's own cylinder
     /// count), else the sweep reverses to the lowest key above it.
+    #[inline]
     pub fn pop(&mut self, head_cyl: u64) -> Option<(u64, T)> {
         if self.pending.is_empty() {
             return None;

@@ -10,7 +10,7 @@
 //! client" (§3.1.2).
 //!
 //! Per-event work is kept small without changing which events happen
-//! or when (DESIGN.md §18): each process keeps one reused action
+//! or when (DESIGN.md §18, §19): each process keeps one reused action
 //! buffer, and the per-page send/receive CPU time of the transfer
 //! pipeline is computed once per engine, by the expression each page
 //! used to evaluate, so it has the same bits.
@@ -241,6 +241,16 @@ impl Engine {
                 Ev::DiskDone(site) => self.on_disk_done(site),
                 Ev::WireDone => self.on_wire_done(),
             }
+            // One completion per CPU, disk and the link, and one resume
+            // or wake-up per process: the bound the event list's
+            // linear insert relies on.
+            debug_assert!(
+                self.events.len() <= self.procs.len() + 2 * self.cpus.len() + 1,
+                "{} events pending for {} processes and {} sites",
+                self.events.len(),
+                self.procs.len(),
+                self.cpus.len()
+            );
             if self.finished_at.is_some() {
                 break;
             }

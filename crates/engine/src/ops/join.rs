@@ -20,6 +20,7 @@
 
 use csqp_catalog::SiteId;
 use csqp_disk::Extent;
+use csqp_simkernel::time::round_to_u64;
 
 use crate::process::{Action, ChannelId, OperatorProc, Page, ResumeInput};
 
@@ -242,14 +243,15 @@ impl JoinProc {
 
     /// CPU instructions to build `t` tuples into the hash table.
     fn build_instr(&self, t: f64) -> u64 {
-        (t * (self.costs.hash_inst + self.costs.move_tuple_instr) as f64).round() as u64
+        round_to_u64(t * (self.costs.hash_inst + self.costs.move_tuple_instr) as f64)
     }
 
     /// CPU instructions to probe with `t` tuples producing `o` results.
     fn probe_instr(&self, t: f64, o: f64) -> u64 {
-        (t * (self.costs.hash_inst + self.costs.compare_inst) as f64
-            + o * self.costs.move_tuple_instr as f64)
-            .round() as u64
+        round_to_u64(
+            t * (self.costs.hash_inst + self.costs.compare_inst) as f64
+                + o * self.costs.move_tuple_instr as f64,
+        )
     }
 
     /// The partition-phase step: next page batch, advancing state.

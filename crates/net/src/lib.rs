@@ -75,6 +75,7 @@ impl<T> Link<T> {
     }
 
     /// Time-on-the-wire for a message of `bytes` bytes.
+    #[inline]
     pub fn wire_time(&self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(bytes as f64 * 8.0 / self.bandwidth_bits_per_sec)
     }
@@ -82,6 +83,7 @@ impl<T> Link<T> {
     /// Submit a message for transmission. Returns the completion time when
     /// the wire was idle (caller schedules the completion event), `None`
     /// when queued behind earlier messages.
+    #[inline]
     pub fn submit(&mut self, now: SimTime, token: T, bytes: u64, kind: MsgKind) -> Option<SimTime> {
         match kind {
             MsgKind::DataPage => self.stats.data_pages_sent += 1,
@@ -94,6 +96,7 @@ impl<T> Link<T> {
 
     /// Complete the message in flight; returns it plus the completion time
     /// of the next queued message, if any (caller schedules it).
+    #[inline]
     pub fn finish_current(&mut self, now: SimTime) -> (T, Option<SimTime>) {
         self.server.finish_current(now)
     }

@@ -8,20 +8,20 @@
 //! The resource does not own the event queue — the driving simulation does.
 //! The protocol is:
 //!
-//! 1. `submit(now, token, service)` — returns `Some((finish, token))` when
-//!    the request enters service immediately; the caller schedules a
-//!    completion event at `finish`. Returns `None` when the request queued
+//! 1. `submit(now, token, service)` returns `Some(finish)` when the
+//!    request enters service at once; the caller schedules a completion
+//!    event at `finish`. It returns `None` when the request queued
 //!    behind others.
-//! 2. On each completion event, call `finish_current(now)` to retire the
-//!    request in service, then repeatedly the returned next request (if
-//!    any) has already been moved into service and its completion time is
-//!    returned for scheduling.
+//! 2. On each completion event, `finish_current(now)` retires the request
+//!    in service and returns its token. When a queued request moved into
+//!    service in its place, the second element is that request's
+//!    completion time, for the caller to schedule.
 
 use std::collections::VecDeque;
 
 use crate::time::{SimDuration, SimTime};
 
-/// A queued request: an opaque token plus its service demand.
+/// A request: an opaque token plus its service demand.
 #[derive(Debug, Clone)]
 struct Request<T> {
     token: T,
@@ -31,17 +31,12 @@ struct Request<T> {
 /// A single-server FIFO queue with utilization accounting.
 #[derive(Debug)]
 pub struct FifoServer<T> {
-    /// Request currently in service, if any.
-    in_service: Option<Request<T>>,
+    /// The request in service, with the time it entered service.
+    in_service: Option<(Request<T>, SimTime)>,
+    /// Requests waiting behind it, in arrival order.
     queue: VecDeque<Request<T>>,
     busy: SimDuration,
     served: u64,
-    /// Sum of (completion - submission) over all served requests.
-    total_latency: SimDuration,
-    /// Submission times ride along so latency can be accounted.
-    submit_times: VecDeque<SimTime>,
-    in_service_submitted: Option<SimTime>,
-    in_service_started: Option<SimTime>,
 }
 
 impl<T> Default for FifoServer<T> {
@@ -58,80 +53,55 @@ impl<T> FifoServer<T> {
             queue: VecDeque::new(),
             busy: SimDuration::ZERO,
             served: 0,
-            total_latency: SimDuration::ZERO,
-            submit_times: VecDeque::new(),
-            in_service_submitted: None,
-            in_service_started: None,
         }
     }
 
     /// Submit a request with the given service demand.
     ///
-    /// Returns `Some((finish_time, &token))` if the request entered service
+    /// Returns `Some(finish_time)` if the request entered service
     /// immediately (the caller must schedule a completion event at
     /// `finish_time`); `None` if it queued.
+    #[inline]
     pub fn submit(&mut self, now: SimTime, token: T, service: SimDuration) -> Option<SimTime> {
         let req = Request { token, service };
         if self.in_service.is_none() {
-            let finish = now + service;
-            self.in_service = Some(req);
-            self.in_service_submitted = Some(now);
-            self.in_service_started = Some(now);
-            Some(finish)
+            self.in_service = Some((req, now));
+            Some(now + service)
         } else {
             self.queue.push_back(req);
-            self.submit_times.push_back(now);
             None
         }
     }
 
     /// Retire the request in service (called on its completion event).
     ///
-    /// Returns `(completed_token, next)` where `next` is
-    /// `Some((finish_time, token_ref))` when a queued request has now
-    /// entered service. The caller schedules its completion.
-    // Invariant panics, not error paths: the three in-service slots and
-    // the submit-time queue move in lockstep by construction, and calling
-    // `finish_current` on an idle server is a caller bug the simulator
-    // cannot recover from mid-run.
+    /// Returns `(completed_token, next)`, where `next` is
+    /// `Some(finish_time)` when a queued request has now entered
+    /// service. The caller schedules its completion.
+    // Invariant panic, not an error path: calling `finish_current` on an
+    // idle server is a caller bug the simulator cannot recover from
+    // mid-run.
     #[allow(clippy::expect_used)]
+    #[inline]
     pub fn finish_current(&mut self, now: SimTime) -> (T, Option<SimTime>) {
-        let done = self
+        let (done, started) = self
             .in_service
             .take()
             .expect("FifoServer::finish_current called while idle");
-        let started = self
-            .in_service_started
-            .take()
-            .expect("in-service bookkeeping out of sync");
-        let submitted = self
-            .in_service_submitted
-            .take()
-            .expect("in-service bookkeeping out of sync");
         debug_assert_eq!(now, started + done.service, "completion at wrong time");
         self.busy += done.service;
         self.served += 1;
-        self.total_latency += now.since(submitted);
-
-        let next_finish = if let Some(next) = self.queue.pop_front() {
-            let sub = self
-                .submit_times
-                .pop_front()
-                .expect("queue bookkeeping out of sync");
+        let next_finish = self.queue.pop_front().map(|next| {
             let finish = now + next.service;
-            self.in_service = Some(next);
-            self.in_service_submitted = Some(sub);
-            self.in_service_started = Some(now);
-            Some(finish)
-        } else {
-            None
-        };
+            self.in_service = Some((next, now));
+            finish
+        });
         (done.token, next_finish)
     }
 
     /// Token of the request currently in service.
     pub fn current(&self) -> Option<&T> {
-        self.in_service.as_ref().map(|r| &r.token)
+        self.in_service.as_ref().map(|(r, _)| &r.token)
     }
 
     /// Number of requests waiting (excluding the one in service).
@@ -152,15 +122,6 @@ impl<T> FifoServer<T> {
     /// Number of requests fully served.
     pub fn served(&self) -> u64 {
         self.served
-    }
-
-    /// Mean latency (queueing + service) of served requests.
-    pub fn mean_latency(&self) -> Option<SimDuration> {
-        if self.served == 0 {
-            None
-        } else {
-            Some(self.total_latency / self.served)
-        }
     }
 
     /// Utilization over `[0, now]`.
@@ -202,17 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn latency_includes_queueing() {
-        let mut s: FifoServer<u8> = FifoServer::new();
-        s.submit(SimTime::ZERO, 1, SimDuration::from_millis(10));
-        s.submit(SimTime::ZERO, 2, SimDuration::from_millis(10));
-        s.finish_current(SimTime(10_000_000));
-        s.finish_current(SimTime(20_000_000));
-        // Latencies: 10 ms and 20 ms -> mean 15 ms.
-        assert_eq!(s.mean_latency(), Some(SimDuration::from_millis(15)));
-    }
-
-    #[test]
     fn utilization_reflects_busy_fraction() {
         let mut s: FifoServer<u8> = FifoServer::new();
         s.submit(SimTime::ZERO, 1, SimDuration::from_millis(5));
@@ -231,7 +181,6 @@ mod tests {
     fn idle_server_reports_idle() {
         let s: FifoServer<u8> = FifoServer::new();
         assert!(s.is_idle());
-        assert_eq!(s.mean_latency(), None);
         assert_eq!(s.utilization(SimTime::ZERO), 0.0);
     }
 }

@@ -64,7 +64,7 @@ impl SimDuration {
             secs.is_finite() && secs >= 0.0,
             "SimDuration::from_secs_f64: invalid seconds {secs}"
         );
-        SimDuration((secs * 1e9).round() as u64)
+        SimDuration(round_to_u64(secs * 1e9))
     }
 
     /// Build a duration from integer microseconds.
@@ -101,6 +101,26 @@ impl SimDuration {
     #[inline]
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
+    }
+}
+
+/// `x.round() as u64`, bit for bit, without a call to `round`.
+///
+/// The baseline x86-64 target has no rounding instruction (SSE4.1), so
+/// `f64::round` is a library call on the simulator's per-event path.
+/// For `0 <= x < 2^52` the truncation `t = x as i64` is exact, and so is
+/// the fraction `x - t`; adding one when the fraction is at least ½ is
+/// round-half-away-from-zero. Every other input, negatives and NaN
+/// included, takes `x.round() as u64`.
+#[inline]
+pub fn round_to_u64(x: f64) -> u64 {
+    const TWO_POW_52: f64 = 4_503_599_627_370_496.0;
+    if (0.0..TWO_POW_52).contains(&x) {
+        let t = x as i64;
+        let frac = x - t as f64;
+        t as u64 + u64::from(frac >= 0.5)
+    } else {
+        x.round() as u64
     }
 }
 
@@ -235,6 +255,89 @@ mod tests {
     #[should_panic(expected = "invalid seconds")]
     fn from_secs_rejects_negative() {
         let _ = SimDuration::from_secs_f64(-0.1);
+    }
+
+    /// `round_to_u64` must equal `x.round() as u64` on every input, bit
+    /// for bit: edge values either side of every branch, a million
+    /// random non-negative bit patterns (about half of them in the fast
+    /// range), and nanosecond-scale values with repeating or exactly-½
+    /// fractions.
+    #[test]
+    fn round_to_u64_matches_round_then_cast() {
+        fn check(x: f64) {
+            assert_eq!(
+                round_to_u64(x),
+                x.round() as u64,
+                "x = {x:e} ({:#x})",
+                x.to_bits()
+            );
+        }
+        let two_52 = 4_503_599_627_370_496.0_f64;
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            0.49999999999999994,
+            1.5,
+            2.5,
+            two_52 - 0.5,
+            two_52 - 1.0,
+            two_52,
+            two_52 + 1.0,
+            9_007_199_254_740_992.0,
+            1e19,
+            18_446_744_073_709_551_616.0,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -0.5,
+            -1.5,
+            -two_52,
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE / 2.0,
+            f64::from_bits(1),
+        ];
+        for x in edges {
+            check(x);
+            check(next_up(x));
+            check(next_down(x));
+        }
+
+        // SplitMix64: a fixed, dependency-free stream of bit patterns.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for _ in 0..1_000_000 {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            check(f64::from_bits(z & !(1 << 63)));
+        }
+
+        for k in 0..200_000_u64 {
+            check(k as f64 / 7.0);
+            check(k as f64 + 0.5);
+            check((k << 32) as f64 + 0.5);
+        }
+    }
+
+    /// The adjacent representable values (`f64::next_up` and
+    /// `next_down` are newer than the workspace's `rust-version`).
+    fn next_up(x: f64) -> f64 {
+        if x.is_nan() || x == f64::INFINITY {
+            x
+        } else if x == 0.0 {
+            f64::from_bits(1)
+        } else if x > 0.0 {
+            f64::from_bits(x.to_bits() + 1)
+        } else {
+            f64::from_bits(x.to_bits() - 1)
+        }
+    }
+
+    fn next_down(x: f64) -> f64 {
+        -next_up(-x)
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!
 //! [`check_pop_trace`] additionally lints any recorded delivery trace
 //! for clock regressions ([`DiagCode::EventTimeRegression`]) — trivially
-//! true for the binary-heap queue, but engine code that *re-derives*
+//! true for the sorted event list, but engine code that *re-derives*
 //! delivery times (e.g. subtracting service from completion times) can
 //! and should run its traces through the same lint.
 

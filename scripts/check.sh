@@ -55,7 +55,7 @@ echo "==> mem-budget smoke: budget-starved serving == honest all-QS digests"
 cargo run --release --bin csqp-load -- --serve --mem-budget 300 --clients 2 --queries 6 --seed 42
 
 echo "==> sim-bench: pinned simulator events/sec gate (BENCH_sim.json)"
-cargo run --release -p csqp-bench --bin csqp-bench -- --sim --min-events-per-sec 5000000
+cargo run --release -p csqp-bench --bin csqp-bench -- --sim --min-events-per-sec 7000000
 
 echo "==> chaos-smoke: seeded fault-injection soak (digest must reproduce)"
 for seed in 1 2 3 5 8 13 21 34; do
