@@ -2,10 +2,16 @@
 //!
 //! ```text
 //! cargo run --release --bin csqp-bench -- [--queries N] [--seed S]
-//!     [--servers M] [--out PATH] [--min-speedup X]
+//!     [--servers M] [--out PATH]
 //! cargo run --release --bin csqp-bench -- --sim [--queries N] [--seed S]
-//!     [--servers M] [--out PATH] [--min-events-per-sec X]
+//!     [--servers M] [--out PATH]
 //! ```
+//!
+//! Each mode writes its record through `csqp_json::record`, which first
+//! holds the run against the record already at `--out` (same config):
+//! memo mode's `speedup` and sim mode's `events_per_sec` must reach a
+//! third of the committed value, and sim mode's `total_events` and
+//! `digest` must equal it (DESIGN.md §20).
 //!
 //! **Memo mode** (default) draws a fixed `--queries` (default 1000) mix from a bounded pool of
 //! (spec × policy × objective × cache-bucket) planning scenarios, then
@@ -20,8 +26,7 @@
 //! Emits `BENCH_optimizer.json` (cold plans/sec, warm plans/sec, memo
 //! hit rate, speedup) so the optimizer-throughput trajectory is tracked
 //! across PRs — ROADMAP's "continuous perf trajectory" item for the
-//! planning path. `--min-speedup X` turns the warm/cold ratio into a
-//! hard exit-code assertion (CI passes 5).
+//! planning path.
 //!
 //! Wall-clock time here is the measurement, never an experiment result:
 //! plans produced under timing are additionally cross-checked
@@ -36,9 +41,8 @@
 //! the simulator-throughput trajectory is tracked across PRs alongside
 //! the planning path. Before any timing is reported, the first slice of
 //! the mix is re-executed with identical seeds and must reproduce the
-//! exact event counts and response times (determinism gate).
-//! `--min-events-per-sec X` turns the rate into a hard exit-code
-//! regression assertion for CI. The binary runs on a counting global
+//! exact event counts and response times (determinism gate). The
+//! binary runs on a counting global
 //! allocator that counts only during sim mode's timed loop, so sim mode
 //! also reports heap allocations per kernel event (`allocs_per_event`)
 //! while memo mode's timings see no counter.
@@ -53,7 +57,8 @@ use csqp_core::{CancelToken, Plan, Policy};
 use csqp_cost::Objective;
 use csqp_experiments::common::Scenario;
 use csqp_experiments::run_query;
-use csqp_json::{obj, Json};
+use csqp_json::record::{gate_and_write, Gate};
+use csqp_json::Json;
 use csqp_memo::{bucket_fraction, CacheBuckets, Env, MemoConfig, MemoTable};
 use csqp_optimizer::{CompileTimeAssumption, MemoOutcome, OptConfig, TwoStepPlanner};
 use csqp_simkernel::rng::SimRng;
@@ -119,9 +124,7 @@ struct Args {
     /// Empty until resolved: defaults to `BENCH_optimizer.json` (memo
     /// mode) or `BENCH_sim.json` (`--sim`).
     out: String,
-    min_speedup: Option<f64>,
     sim: bool,
-    min_events_per_sec: Option<f64>,
 }
 
 fn parse_args() -> Args {
@@ -130,9 +133,7 @@ fn parse_args() -> Args {
         seed: 0xB_E7C4,
         servers: 4,
         out: String::new(),
-        min_speedup: None,
         sim: false,
-        min_events_per_sec: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(flag) = it.next() {
@@ -145,26 +146,11 @@ fn parse_args() -> Args {
             "--seed" => args.seed = num(&raw("--seed"), "--seed"),
             "--servers" => args.servers = num(&raw("--servers"), "--servers") as u32,
             "--out" => args.out = raw("--out"),
-            "--min-speedup" => {
-                let v = raw("--min-speedup");
-                args.min_speedup =
-                    Some(v.parse::<f64>().unwrap_or_else(|_| {
-                        die("--min-speedup needs a numeric argument".to_string())
-                    }));
-            }
             "--sim" => args.sim = true,
-            "--min-events-per-sec" => {
-                let v = raw("--min-events-per-sec");
-                args.min_events_per_sec = Some(v.parse::<f64>().unwrap_or_else(|_| {
-                    die("--min-events-per-sec needs a numeric argument".to_string())
-                }));
-            }
             "--help" | "-h" => {
                 println!(
-                    "usage: csqp-bench [--queries N] [--seed S] [--servers M] \
-                     [--out PATH] [--min-speedup X]\n       \
-                     csqp-bench --sim [--queries N] [--seed S] [--servers M] \
-                     [--out PATH] [--min-events-per-sec X]"
+                    "usage: csqp-bench [--sim] [--queries N] [--seed S] [--servers M] \
+                     [--out PATH]"
                 );
                 std::process::exit(0);
             }
@@ -432,41 +418,48 @@ fn run_sim(args: &Args) -> ExitCode {
     }
     println!("verified: first {probe} executions replay deterministically");
 
-    let bench = obj(vec![
-        ("bench", Json::from("csqp-bench sim suite")),
-        ("seed", Json::from(args.seed)),
-        ("runs", Json::from(args.queries as u64)),
-        ("scenarios", Json::from(cells.len() as u64)),
-        ("total_events", Json::from(total_events)),
-        ("wall_secs", Json::from(wall_secs)),
-        ("events_per_sec", Json::from(events_per_sec)),
-        (
-            "events_per_run",
-            Json::from(total_events as f64 / args.queries as f64),
-        ),
-        ("allocs", Json::from(allocs)),
-        ("allocs_per_event", Json::from(allocs_per_event)),
-        ("digest", Json::from(format!("{digest:016x}"))),
-    ]);
-    match std::fs::write(&args.out, bench.render_pretty() + "\n") {
-        Ok(()) => println!("wrote {}", args.out),
-        Err(e) => {
-            eprintln!("csqp-bench: FAIL writing {}: {e}", args.out);
-            return ExitCode::FAILURE;
-        }
-    }
+    record(
+        args,
+        "csqp-bench sim suite",
+        vec![
+            ("seed", Json::from(args.seed)),
+            ("runs", Json::from(args.queries as u64)),
+            ("servers", Json::from(args.servers)),
+            ("scenarios", Json::from(cells.len() as u64)),
+        ],
+        vec![
+            ("total_events", Json::from(total_events), Gate::Exact),
+            ("wall_secs", Json::from(wall_secs), Gate::Info),
+            ("events_per_sec", Json::from(events_per_sec), Gate::Floor),
+            (
+                "events_per_run",
+                Json::from(total_events as f64 / args.queries as f64),
+                Gate::Info,
+            ),
+            ("allocs", Json::from(allocs), Gate::Info),
+            ("allocs_per_event", Json::from(allocs_per_event), Gate::Info),
+            ("digest", Json::from(format!("{digest:016x}")), Gate::Exact),
+        ],
+    )
+}
 
-    if let Some(min) = args.min_events_per_sec {
-        if events_per_sec < min {
-            eprintln!(
-                "csqp-bench: FAIL simulator throughput {events_per_sec:.0} events/sec below \
-                 the {min} regression threshold"
-            );
-            return ExitCode::FAILURE;
+/// Gate the run against the record at `--out` and write it there.
+fn record(
+    args: &Args,
+    bench: &str,
+    config: Vec<(&str, Json)>,
+    metrics: Vec<(&str, Json, Gate)>,
+) -> ExitCode {
+    match gate_and_write(&args.out, bench, config, metrics) {
+        Ok(report) => {
+            println!("{report}");
+            ExitCode::SUCCESS
         }
-        println!("throughput {events_per_sec:.0} events/sec meets the {min} threshold");
+        Err(e) => {
+            eprintln!("csqp-bench: FAIL {e}");
+            ExitCode::FAILURE
+        }
     }
-    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -536,39 +529,26 @@ fn main() -> ExitCode {
     );
 
     let snap = table.snapshot();
-    let bench = obj(vec![
-        ("bench", Json::from("csqp-bench memo suite")),
-        ("seed", Json::from(args.seed)),
-        ("queries", Json::from(args.queries as u64)),
-        ("pool", Json::from(pool.len() as u64)),
-        ("cold_secs", Json::from(cold_secs)),
-        ("cold_plans_per_sec", Json::from(cold_rate)),
-        ("warm_secs", Json::from(warm_secs)),
-        ("warm_plans_per_sec", Json::from(warm_rate)),
-        ("hit_rate", Json::from(hit_rate)),
-        ("speedup", Json::from(speedup)),
-        ("memo_hits", Json::from(snap.hits)),
-        ("memo_misses", Json::from(snap.misses)),
-        ("memo_entries", Json::from(snap.entries)),
-        ("memo_bytes", Json::from(snap.bytes)),
-    ]);
-    match std::fs::write(&args.out, bench.render_pretty() + "\n") {
-        Ok(()) => println!("wrote {}", args.out),
-        Err(e) => {
-            eprintln!("csqp-bench: FAIL writing {}: {e}", args.out);
-            return ExitCode::FAILURE;
-        }
-    }
-
-    if let Some(min) = args.min_speedup {
-        if speedup < min {
-            eprintln!(
-                "csqp-bench: FAIL warm/cold speedup {speedup:.2}x below the \
-                 {min}x regression threshold"
-            );
-            return ExitCode::FAILURE;
-        }
-        println!("speedup {speedup:.1}x meets the {min}x threshold");
-    }
-    ExitCode::SUCCESS
+    record(
+        &args,
+        "csqp-bench memo suite",
+        vec![
+            ("seed", Json::from(args.seed)),
+            ("queries", Json::from(args.queries as u64)),
+            ("servers", Json::from(args.servers)),
+            ("pool", Json::from(pool.len() as u64)),
+        ],
+        vec![
+            ("cold_secs", Json::from(cold_secs), Gate::Info),
+            ("cold_plans_per_sec", Json::from(cold_rate), Gate::Info),
+            ("warm_secs", Json::from(warm_secs), Gate::Info),
+            ("warm_plans_per_sec", Json::from(warm_rate), Gate::Info),
+            ("hit_rate", Json::from(hit_rate), Gate::Info),
+            ("speedup", Json::from(speedup), Gate::Floor),
+            ("memo_hits", Json::from(snap.hits), Gate::Info),
+            ("memo_misses", Json::from(snap.misses), Gate::Info),
+            ("memo_entries", Json::from(snap.entries), Gate::Info),
+            ("memo_bytes", Json::from(snap.bytes), Gate::Info),
+        ],
+    )
 }

@@ -25,18 +25,6 @@ pub struct HashPlan {
     pub partition_pages: u64,
 }
 
-impl HashPlan {
-    /// Fraction of the input that stays resident (applies to the outer
-    /// relation too, under uniform hashing).
-    pub fn resident_fraction(&self, inner_pages: u64) -> f64 {
-        if inner_pages == 0 {
-            1.0
-        } else {
-            self.resident_inner_pages as f64 / inner_pages as f64
-        }
-    }
-}
-
 /// Buffer frames granted to a join over an `inner_pages`-page build input
 /// under the configured allocation policy.
 pub fn join_memory(config: &SystemConfig, inner_pages: u64) -> u64 {

@@ -353,13 +353,6 @@ impl ReplicatedCatalog {
         self.replicas[i].refresh(snapshot).ok()
     }
 
-    /// Propagate the current snapshot to every replica.
-    pub fn propagate_all(&mut self) {
-        for s in 1..=self.coordinator.catalog().num_servers() {
-            self.propagate(SiteId::server(s));
-        }
-    }
-
     /// Deliver the historical snapshot at `epoch` to `site` — the torn
     /// (partial) and reordered (stale) propagation paths. The replica's
     /// regression guard decides whether the delivery applies.

@@ -3,7 +3,7 @@
 //! The paper binds site annotations at *runtime* because client/server
 //! state changes under the optimizer's feet (§2.1); faults are the
 //! extreme form of that state change. A [`CancelToken`] is the seam the
-//! serving stack uses to stop dead work promptly: a connection thread
+//! serving stack uses to stop dead work promptly: a shard's event loop
 //! cancels the token when its client vanishes, and the optimizer/runner
 //! loops probe the token between search steps and simulated-engine
 //! phases, releasing the worker instead of finishing a query nobody will

@@ -88,12 +88,6 @@ impl<'a> ExecutionBuilder<'a> {
         }
     }
 
-    /// Override the disk model parameters.
-    pub fn with_disk_params(mut self, params: DiskParams) -> Self {
-        self.disk_params = params;
-        self
-    }
-
     /// Add external load on a server disk.
     pub fn with_load(mut self, site: SiteId, rate_per_sec: f64) -> Self {
         if rate_per_sec > 0.0 {

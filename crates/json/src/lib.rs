@@ -16,6 +16,8 @@
 
 use std::fmt;
 
+pub mod record;
+
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {

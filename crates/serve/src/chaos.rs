@@ -319,12 +319,7 @@ fn settle(stream: &mut TcpStream, timeout: Duration) -> Result<(StatsSnapshot, b
                 ))));
             }
         };
-        let settled = stats.submitted
-            == stats.queries_served
-                + stats.rejected
-                + stats.errors
-                + stats.aborted
-                + stats.timed_out;
+        let settled = stats.conservation_holds();
         if settled || Instant::now() >= give_up {
             return Ok((stats, settled));
         }

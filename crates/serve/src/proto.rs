@@ -513,9 +513,8 @@ pub struct ErrorFrame {
 
 /// A point-in-time server metrics snapshot (the STATS frame).
 ///
-/// The accounting invariant the chaos harness asserts after every soak:
-/// `submitted == queries_served + rejected + errors + aborted +
-/// timed_out` — every admitted query ends in exactly one bucket.
+/// The accounting invariant the chaos harness asserts after every soak
+/// is [`StatsSnapshot::conservation_holds`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsSnapshot {
     /// QUERY frames decoded and handed to admission control.
@@ -578,6 +577,17 @@ pub struct StatsSnapshot {
     pub reactor_ctl_calls: u64,
     /// Readiness events dispatched to shard event loops.
     pub reactor_events_dispatched: u64,
+}
+
+impl StatsSnapshot {
+    /// The accounting invariant, `submitted == queries_served +
+    /// rejected + errors + aborted + timed_out`: every admitted query
+    /// ended in exactly one terminal bucket. Only meaningful once the
+    /// server has drained; the chaos harness polls STATS until it settles.
+    pub fn conservation_holds(&self) -> bool {
+        self.submitted
+            == self.queries_served + self.rejected + self.errors + self.aborted + self.timed_out
+    }
 }
 
 /// One protocol frame.

@@ -13,7 +13,7 @@
 //!
 //! Backpressure: a QUERY that finds the admission queue full is rejected
 //! immediately with an ERROR frame (`code = saturated`) carrying a
-//! `retry_after_ms` hint — the connection thread never blocks on a full
+//! `retry_after_ms` hint — a shard's event loop never blocks on a full
 //! queue, so slow workers cannot stall the protocol.
 //!
 //! Determinism: the hosted catalog for a query shape is derived from
@@ -217,8 +217,6 @@ struct DriftState {
     replicas: Vec<AtomicU64>,
     /// Refresh deliveries applied by replicas (including torn ones).
     refreshes: AtomicU64,
-    /// Torn deliveries: a refresh applied one delta short.
-    torn: AtomicU64,
     /// Reordered (regressing) deliveries the replicas refused.
     regressions: AtomicU64,
     /// Queries downgraded to QS for staleness or poison.
@@ -237,7 +235,6 @@ impl DriftState {
             coordinator: AtomicU64::new(0),
             replicas: (0..shards.max(1)).map(|_| AtomicU64::new(0)).collect(),
             refreshes: AtomicU64::new(0),
-            torn: AtomicU64::new(0),
             regressions: AtomicU64::new(0),
             stale_degraded: AtomicU64::new(0),
             stale_rejected: AtomicU64::new(0),
@@ -344,13 +341,6 @@ impl QueryService {
         self.drift.coordinator.load(Ordering::Acquire)
     }
 
-    /// Torn (partial) epoch deliveries applied so far. Exposed for the
-    /// chaos harness; the STATS frame folds torn refreshes into
-    /// `catalog_refreshes`.
-    pub fn catalog_torn(&self) -> u64 {
-        self.drift.torn.load(Ordering::Relaxed)
-    }
-
     /// The drift event trace recorded while catalog faults were armed
     /// (empty otherwise, and capped — see `DRIFT_TRACE_CAP`).
     /// `csqp-load` replays this through the `csqp-verify` drift pass
@@ -418,7 +408,6 @@ impl QueryService {
                 let to = coord - 1;
                 replica.store(to, Ordering::Release);
                 self.drift.refreshes.fetch_add(1, Ordering::Relaxed);
-                self.drift.torn.fetch_add(1, Ordering::Relaxed);
                 events.push(DriftEvent::Refresh {
                     site,
                     from,
@@ -1054,9 +1043,9 @@ impl ServerHandle {
         self.service.metrics()
     }
 
-    /// Graceful shutdown: stop accepting, let connection threads observe
-    /// the flag within one read timeout, drain queued jobs, and join the
-    /// pool.
+    /// Graceful shutdown: stop accepting, wake the shard event loops so
+    /// they observe the flag and sweep their sessions, drain queued jobs,
+    /// and join the pool.
     pub fn shutdown(mut self) {
         self.stop();
     }
@@ -1076,8 +1065,8 @@ impl ServerHandle {
         for shard in self.shards.drain(..) {
             shard.join();
         }
-        // Drop the master sender; workers exit once every connection
-        // thread (each holding a clone) has drained and disconnected.
+        // Drop the master sender; workers exit once every shard (each
+        // holding a clone) has drained and disconnected.
         self.submit = None;
         for w in self.workers.drain(..) {
             let _ = w.join();

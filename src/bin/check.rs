@@ -39,9 +39,10 @@
 //!    (`csqp_verify::system::system_step`, whose arbitration the engine
 //!    interprets), with symmetry reduction and a bounded-lasso liveness
 //!    pass. Asserts worker conservation, bounded overtake, no lost
-//!    wakeup, and shutdown-sweep completeness; emits `BENCH_check.json`
-//!    (states, states/sec, peak frontier, wall time, symmetry shrink)
-//!    so checker-throughput regressions stay visible across PRs.
+//!    wakeup, and shutdown-sweep completeness. Under `--system` it also
+//!    writes `BENCH_check.json` (states, states/sec, peak frontier, wall
+//!    time, symmetry shrink), whose state and transition counts must
+//!    equal the committed record's at the same sessions and depth.
 //!    `--budget-secs` turns the wall-time budget into a hard failure.
 //! 6. **Memo consistency** — populate a `csqp-memo` table through the
 //!    real memoized two-step entry points over a seeded spec × policy ×
@@ -73,7 +74,8 @@ use std::process::ExitCode;
 use csqp::catalog::{QuerySpec, RelId, SiteId, SystemConfig};
 use csqp::core::{Annotation, JoinTree, NodeId, Plan, Policy};
 use csqp::cost::{CostModel, Objective, ResourceUsage};
-use csqp::json::{obj, Json};
+use csqp::json::record::{gate_and_write, Gate};
+use csqp::json::Json;
 use csqp::optimizer::{random_neighbor, random_plan, MoveSet, OptConfig, Optimizer};
 use csqp::simkernel::rng::SimRng;
 use csqp::simkernel::SimTime;
@@ -509,8 +511,8 @@ fn protocol_model_check(args: &Args) -> usize {
 /// `--sessions` session machines over the shared admission queue,
 /// worker pool, and completion channel — then the same search without
 /// symmetry reduction, to measure (and record) how much the reduction
-/// shrinks the visited set. Emits `BENCH_check.json` as the checker's
-/// perf-trajectory record.
+/// shrinks the visited set. Under `--system`, gates the counts against
+/// and writes `BENCH_check.json`, the checker's perf-trajectory record.
 fn system_model_check(args: &Args) -> usize {
     let mut checker = SystemChecker::default();
     checker.sessions = args.sessions;
@@ -556,22 +558,35 @@ fn system_model_check(args: &Args) -> usize {
     } else {
         0.0
     };
-    let bench = obj(vec![
-        ("bench", Json::from("csqp-check --system")),
-        ("sessions", Json::from(u64::from(args.sessions))),
-        ("depth", Json::from(args.depth as u64)),
-        ("states", Json::from(stats.states)),
-        ("transitions", Json::from(stats.transitions)),
-        ("peak_frontier", Json::from(stats.peak_frontier)),
-        ("wall_secs", Json::from(secs)),
-        ("states_per_sec", Json::from(states_per_sec)),
-        ("states_no_symmetry", Json::from(raw_stats.states)),
-        ("symmetry_shrink", Json::from(shrink)),
-    ]);
-    match std::fs::write("BENCH_check.json", bench.render_pretty() + "\n") {
-        Ok(()) => println!("wrote BENCH_check.json"),
+    // Only `--system` owns the record: the full sweeps run the model
+    // check at their own depth, which is not the recorded config.
+    if !args.system_only {
+        return failures;
+    }
+    match gate_and_write(
+        "BENCH_check.json",
+        "csqp-check --system",
+        vec![
+            ("sessions", Json::from(u64::from(args.sessions))),
+            ("depth", Json::from(args.depth as u64)),
+        ],
+        vec![
+            ("states", Json::from(stats.states), Gate::Exact),
+            ("transitions", Json::from(stats.transitions), Gate::Exact),
+            ("peak_frontier", Json::from(stats.peak_frontier), Gate::Info),
+            ("wall_secs", Json::from(secs), Gate::Info),
+            ("states_per_sec", Json::from(states_per_sec), Gate::Info),
+            (
+                "states_no_symmetry",
+                Json::from(raw_stats.states),
+                Gate::Info,
+            ),
+            ("symmetry_shrink", Json::from(shrink), Gate::Info),
+        ],
+    ) {
+        Ok(report) => println!("{report}"),
         Err(e) => {
-            eprintln!("FAIL writing BENCH_check.json: {e}");
+            eprintln!("FAIL {e}");
             failures += 1;
         }
     }

@@ -9,8 +9,8 @@
 //!     [--deadline-ms D] [--pipeline N] [--serve] [--fail-on-rejects]
 //!     [--chaos SEED] [--schedules N] [--chaos-queries N] [--intensity F]
 //!     [--reply-faults] [--catalog-faults] [--memo-smoke]
-//!     [--mem-budget PAGES] [--bench-serve] [--min-qps F]
-//!     [--bench-reactor] [--idle-sessions N]
+//!     [--mem-budget PAGES] [--bench-serve] [--bench-reactor]
+//!     [--idle-sessions N]
 //! ```
 //!
 //! `--serve` spins up an in-process server on a free port and loads it —
@@ -60,8 +60,8 @@
 //! `--bench-serve` is the serving-stack perf artifact: a pinned seeded
 //! closed-loop run (combine with `--serve` for the self-contained CI
 //! gate) whose QPS and latency percentiles land in `BENCH_serve.json`.
-//! `--min-qps F` turns it into a regression gate: the run fails when
-//! throughput drops below the floor.
+//! The run fails when throughput drops below a third of the committed
+//! record's (`csqp_json::record`, DESIGN.md §20).
 //!
 //! `--bench-reactor` is the reactor perf artifact: it spins up an inline
 //! server on the platform reactor (`epoll` on Linux, `poll` elsewhere),
@@ -69,16 +69,18 @@
 //! mixed idle+active shape the scale suite extrapolates), drives the
 //! seeded closed-loop mix, and records QPS plus the reactor's syscall
 //! counters (wait calls/sec, events dispatched/sec) in
-//! `BENCH_reactor.json`. The run fails if `--min-qps` is violated or if
-//! the interest cache degrades into an `epoll_ctl` storm (ctl calls are
-//! gated against the work actually done).
+//! `BENCH_reactor.json`. The run fails if throughput drops below a
+//! third of the committed record's, or if the interest cache degrades
+//! into an `epoll_ctl` storm (ctl calls are gated against the work
+//! actually done).
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use csqp::core::Policy;
 use csqp::cost::Objective;
-use csqp::json::{obj, Json};
+use csqp::json::record::{gate_and_write, Gate};
+use csqp::json::Json;
 use csqp::net::chaos::FaultPlan;
 use csqp::serve::chaos::{run_chaos, ChaosConfig};
 use csqp::serve::proto::OptimizerMode;
@@ -92,7 +94,6 @@ struct Args {
     memo_smoke: bool,
     mem_budget_smoke: Option<u64>,
     bench_serve: bool,
-    min_qps: Option<f64>,
     bench_reactor: bool,
     idle_sessions: usize,
 }
@@ -106,7 +107,6 @@ fn parse_args() -> Args {
         memo_smoke: false,
         mem_budget_smoke: None,
         bench_serve: false,
-        min_qps: None,
         bench_reactor: false,
         idle_sessions: 512,
     };
@@ -191,13 +191,6 @@ fn parse_args() -> Args {
             "--idle-sessions" => {
                 args.idle_sessions = num(&raw("--idle-sessions"), "--idle-sessions") as usize
             }
-            "--min-qps" => {
-                args.min_qps = Some(
-                    raw("--min-qps")
-                        .parse::<f64>()
-                        .unwrap_or_else(|_| die("--min-qps needs a numeric argument".to_string())),
-                );
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: csqp-load [--addr HOST:PORT] [--clients N] [--seconds T | --queries N] \
@@ -206,8 +199,8 @@ fn parse_args() -> Args {
                      [--deadline-ms D] [--pipeline N] [--serve] [--fail-on-rejects] \
                      [--chaos SEED] [--schedules N] [--chaos-queries N] [--intensity F] \
                      [--reply-faults] [--catalog-faults] [--memo-smoke] \
-                     [--mem-budget PAGES] [--bench-serve] [--min-qps F] \
-                     [--bench-reactor] [--idle-sessions N]"
+                     [--mem-budget PAGES] [--bench-serve] [--bench-reactor] \
+                     [--idle-sessions N]"
                 );
                 std::process::exit(0);
             }
@@ -433,13 +426,8 @@ fn run_mem_budget_smoke(load: &LoadConfig, budget: u64) -> Result<(), String> {
                 "budget {budget} never degraded a DS/HY plan over a mixed mix: {snap:?}"
             ));
         }
-        let terminal =
-            snap.queries_served + snap.rejected + snap.errors + snap.aborted + snap.timed_out;
-        if snap.submitted != terminal {
-            return Err(format!(
-                "conservation violated after the smoke: {} submitted vs {terminal} terminal",
-                snap.submitted
-            ));
+        if !snap.conservation_holds() {
+            return Err(format!("conservation violated after the smoke: {snap:?}"));
         }
         println!(
             "csqp-load: mixed mix degraded {} plans to QS under the {budget}-page budget \
@@ -581,9 +569,9 @@ fn audit_drift(handle: &ServerHandle, bound: u64) -> Result<(), String> {
 }
 
 /// The pinned serving benchmark: a seeded closed-loop run whose QPS and
-/// latency percentiles are written to `BENCH_serve.json`. `min_qps` is
-/// the CI regression floor.
-fn run_bench_serve(load: &LoadConfig, min_qps: Option<f64>) -> Result<(), String> {
+/// latency percentiles are gated against and written to
+/// `BENCH_serve.json`.
+fn run_bench_serve(load: &LoadConfig) -> Result<(), String> {
     let queries = load.queries_per_client.unwrap_or(64);
     let cfg = LoadConfig {
         queries_per_client: Some(queries),
@@ -598,43 +586,38 @@ fn run_bench_serve(load: &LoadConfig, min_qps: Option<f64>) -> Result<(), String
     if report.errors > 0 {
         return Err(format!("bench run saw {} query errors", report.errors));
     }
-    let bench = obj(vec![
-        ("bench", Json::from("csqp-load --bench-serve")),
-        ("seed", Json::from(cfg.seed)),
-        ("clients", Json::from(cfg.clients as u64)),
-        ("queries_per_client", Json::from(queries)),
-        ("queries", Json::from(report.queries)),
-        ("rejected", Json::from(report.rejected)),
-        ("degraded", Json::from(report.degraded)),
-        ("timed_out", Json::from(report.timed_out)),
-        ("throughput_qps", Json::from(report.throughput_qps)),
-        ("p50_ms", Json::from(report.p50_ms)),
-        ("p95_ms", Json::from(report.p95_ms)),
-        ("p99_ms", Json::from(report.p99_ms)),
-    ]);
-    std::fs::write("BENCH_serve.json", bench.render_pretty() + "\n")
-        .map_err(|e| format!("writing BENCH_serve.json failed: {e}"))?;
-    println!(
-        "csqp-load: wrote BENCH_serve.json ({:.1} qps, p99 {:.1} ms)",
-        report.throughput_qps, report.p99_ms
-    );
-    if let Some(floor) = min_qps {
-        if report.throughput_qps < floor {
-            return Err(format!(
-                "throughput {:.1} qps fell below the --min-qps floor {floor:.1}",
-                report.throughput_qps
-            ));
-        }
-        println!("csqp-load: qps floor {floor:.1} holds");
-    }
+    let written = gate_and_write(
+        "BENCH_serve.json",
+        "csqp-load --bench-serve",
+        vec![
+            ("seed", Json::from(cfg.seed)),
+            ("clients", Json::from(cfg.clients as u64)),
+            ("queries_per_client", Json::from(queries)),
+        ],
+        vec![
+            ("queries", Json::from(report.queries), Gate::Info),
+            ("rejected", Json::from(report.rejected), Gate::Info),
+            ("degraded", Json::from(report.degraded), Gate::Info),
+            ("timed_out", Json::from(report.timed_out), Gate::Info),
+            (
+                "throughput_qps",
+                Json::from(report.throughput_qps),
+                Gate::Floor,
+            ),
+            ("p50_ms", Json::from(report.p50_ms), Gate::Info),
+            ("p95_ms", Json::from(report.p95_ms), Gate::Info),
+            ("p99_ms", Json::from(report.p99_ms), Gate::Info),
+        ],
+    )?;
+    println!("{written}");
     Ok(())
 }
 
 /// The reactor perf artifact: the pinned idle+active mix against an
-/// inline server, figures in `BENCH_reactor.json`. Gates: the `--min-qps`
-/// floor, and no `epoll_ctl` storm (the interest cache must keep ctl
-/// traffic proportional to work done, not to wait count).
-fn run_bench_reactor(load: &LoadConfig, min_qps: Option<f64>, idle: usize) -> Result<(), String> {
+/// inline server, figures in `BENCH_reactor.json`. Gates: the committed
+/// record's QPS floor, and no `epoll_ctl` storm (the interest cache must
+/// keep ctl traffic proportional to work done, not to wait count).
+fn run_bench_reactor(load: &LoadConfig, idle: usize) -> Result<(), String> {
     let queries = load.queries_per_client.unwrap_or(32);
     let cfg = LoadConfig {
         queries_per_client: Some(queries),
@@ -707,14 +690,6 @@ fn run_bench_reactor(load: &LoadConfig, min_qps: Option<f64>, idle: usize) -> Re
         per_sec(snap.reactor_events_dispatched),
         report.digest
     );
-    if let Some(floor) = min_qps {
-        if report.throughput_qps < floor {
-            return Err(format!(
-                "throughput {:.1} qps fell below the --min-qps floor {floor:.1}",
-                report.throughput_qps
-            ));
-        }
-    }
     // The interest-cache regression gate: ctl traffic must be
     // proportional to queries and session churn, never to wait count (an
     // uncached backend would re-register the whole table every wait —
@@ -728,34 +703,48 @@ fn run_bench_reactor(load: &LoadConfig, min_qps: Option<f64>, idle: usize) -> Re
             snap.reactor_ctl_calls, report.queries
         ));
     }
-    let bench = obj(vec![
-        ("bench", Json::from("csqp-load --bench-reactor")),
-        ("target_os", Json::from(std::env::consts::OS)),
-        ("seed", Json::from(cfg.seed)),
-        ("clients", Json::from(cfg.clients as u64)),
-        ("queries_per_client", Json::from(queries)),
-        ("idle_sessions", Json::from(idle as u64)),
-        ("queries", Json::from(report.queries)),
-        ("throughput_qps", Json::from(report.throughput_qps)),
-        ("p99_ms", Json::from(report.p99_ms)),
-        ("wait_calls", Json::from(snap.reactor_wait_calls)),
-        (
-            "wait_calls_per_sec",
-            Json::from(per_sec(snap.reactor_wait_calls)),
-        ),
-        ("ctl_calls", Json::from(snap.reactor_ctl_calls)),
-        (
-            "events_dispatched",
-            Json::from(snap.reactor_events_dispatched),
-        ),
-        (
-            "events_per_sec",
-            Json::from(per_sec(snap.reactor_events_dispatched)),
-        ),
-    ]);
-    std::fs::write("BENCH_reactor.json", bench.render_pretty() + "\n")
-        .map_err(|e| format!("writing BENCH_reactor.json failed: {e}"))?;
-    println!("csqp-load: wrote BENCH_reactor.json");
+    let written = gate_and_write(
+        "BENCH_reactor.json",
+        "csqp-load --bench-reactor",
+        vec![
+            ("target_os", Json::from(std::env::consts::OS)),
+            ("seed", Json::from(cfg.seed)),
+            ("clients", Json::from(cfg.clients as u64)),
+            ("queries_per_client", Json::from(queries)),
+            ("idle_sessions", Json::from(idle as u64)),
+        ],
+        vec![
+            ("queries", Json::from(report.queries), Gate::Info),
+            (
+                "throughput_qps",
+                Json::from(report.throughput_qps),
+                Gate::Floor,
+            ),
+            ("p99_ms", Json::from(report.p99_ms), Gate::Info),
+            (
+                "wait_calls",
+                Json::from(snap.reactor_wait_calls),
+                Gate::Info,
+            ),
+            (
+                "wait_calls_per_sec",
+                Json::from(per_sec(snap.reactor_wait_calls)),
+                Gate::Info,
+            ),
+            ("ctl_calls", Json::from(snap.reactor_ctl_calls), Gate::Info),
+            (
+                "events_dispatched",
+                Json::from(snap.reactor_events_dispatched),
+                Gate::Info,
+            ),
+            (
+                "events_per_sec",
+                Json::from(per_sec(snap.reactor_events_dispatched)),
+                Gate::Info,
+            ),
+        ],
+    )?;
+    println!("{written}");
     Ok(())
 }
 
@@ -764,7 +753,7 @@ fn main() -> ExitCode {
 
     // The reactor bench manages its own inline server.
     if args.bench_reactor {
-        return match run_bench_reactor(&args.load, args.min_qps, args.idle_sessions) {
+        return match run_bench_reactor(&args.load, args.idle_sessions) {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) => {
                 eprintln!("csqp-load: {msg}");
@@ -870,9 +859,9 @@ fn main() -> ExitCode {
     }
 
     // Bench mode: a pinned closed-loop run whose figures land in
-    // BENCH_serve.json, with an optional QPS regression floor.
+    // BENCH_serve.json, gated against the committed record.
     if args.bench_serve {
-        let code = match run_bench_serve(&args.load, args.min_qps) {
+        let code = match run_bench_serve(&args.load) {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) => {
                 eprintln!("csqp-load: {msg}");
