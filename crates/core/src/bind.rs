@@ -5,13 +5,17 @@
 //! resolved; then, the locations of the other operators are resolved given
 //! their annotations."
 //!
-//! Binding is a fixpoint over the annotation references: `client` and
-//! `primary copy` resolve immediately; `consumer` copies the parent's
-//! site, `producer`/`inner relation`/`outer relation` copy a child's.
-//! Well-formed plans always reach the fixpoint; ill-formed plans (a
-//! two-node cycle) are reported as [`BindError::Cycle`].
+//! `client` and `primary copy` resolve immediately; `consumer` copies the
+//! parent's site, `producer`/`inner relation`/`outer relation` copy a
+//! child's. A down-pointing chain never reaches a `consumer` in a
+//! well-formed plan (that pair would be a two-node cycle, §2.2.3), so two
+//! passes resolve every site: bottom-up for the scans, the display and
+//! everything that points down, then top-down for everything that points
+//! up. What is still unresolved after both sits on a cycle and is
+//! reported as [`BindError::Cycle`].
 
 use std::fmt;
+use std::ops::ControlFlow;
 
 use csqp_catalog::{Catalog, SiteId};
 
@@ -168,80 +172,90 @@ impl BoundPlan {
 /// # Ok::<(), csqp_core::BindError>(())
 /// ```
 pub fn bind(plan: &Plan, ctx: BindContext<'_>) -> Result<BoundPlan, BindError> {
-    let order = plan.postorder();
-    let parents = plan.parents();
-    let mut sites: Vec<Option<SiteId>> = vec![None; plan.arena_len()];
-
-    // Phase 1: display and scans resolve directly.
-    for &id in &order {
-        let n = plan.node(id);
-        sites[id.index()] = match (n.op, n.ann) {
-            (LogicalOp::Display, _) => Some(ctx.query_site),
-            (LogicalOp::Scan { .. }, Annotation::Client) => Some(ctx.query_site),
-            (LogicalOp::Scan { rel }, Annotation::PrimaryCopy) => {
-                Some(ctx.catalog.primary_site(rel))
-            }
-            _ => None,
-        };
-    }
-
-    // Phase 2: fixpoint over the annotation references.
-    loop {
-        let mut progress = false;
-        for &id in &order {
-            if sites[id.index()].is_some() {
-                continue;
-            }
-            let n = plan.node(id);
-            let referent = match n.ann {
-                Annotation::Consumer => match parents[id.index()] {
-                    Some((p, _)) => p,
-                    None => {
-                        return Err(BindError::Malformed {
-                            node: id,
-                            reason: "'consumer' annotation on the root: no parent to follow".into(),
-                        })
-                    }
-                },
-                ann => match ann.points_down_at().and_then(|slot| n.children[slot]) {
-                    Some(c) => c,
-                    None => {
-                        return Err(BindError::Malformed {
-                            node: id,
-                            reason: format!(
-                                "annotation '{ann}' on {:?} has no child to follow",
-                                n.op
-                            ),
-                        })
-                    }
-                },
-            };
-            if let Some(site) = sites[referent.index()] {
-                sites[id.index()] = Some(site);
-                progress = true;
-            }
-        }
-        if order.iter().all(|id| sites[id.index()].is_some()) {
-            break;
-        }
-        if !progress {
-            return Err(BindError::Cycle {
-                unresolved: order
-                    .iter()
-                    .copied()
-                    .filter(|id| sites[id.index()].is_none())
-                    .collect(),
-            });
-        }
-    }
-
+    let mut sites = Vec::new();
+    bind_into(plan, ctx, &mut sites)?;
     Ok(BoundPlan {
         plan: plan.clone(),
-        sites: sites
-            .into_iter()
-            .map(|s| s.unwrap_or(ctx.query_site))
-            .collect(),
+        sites,
     })
+}
+
+/// Marks a site the passes of [`bind_into`] have not resolved yet.
+const UNBOUND: SiteId = SiteId(u32::MAX);
+
+/// [`bind`] into a caller's buffer: on success `sites` holds the physical
+/// site per arena slot, exactly [`BoundPlan::sites`]; on error its
+/// contents are unspecified. Allocates only when `sites` must grow (or
+/// to build a [`BindError`]), so a search can bind every candidate into
+/// one buffer.
+pub fn bind_into(
+    plan: &Plan,
+    ctx: BindContext<'_>,
+    sites: &mut Vec<SiteId>,
+) -> Result<(), BindError> {
+    sites.clear();
+    sites.resize(plan.arena_len(), UNBOUND);
+
+    // Bottom-up: display and scans resolve directly; a down-pointing
+    // annotation copies its child's site, already visited in postorder.
+    let up = plan.try_for_each_postorder(|id| {
+        let n = plan.node(id);
+        sites[id.index()] = match (n.op, n.ann) {
+            (LogicalOp::Display, _) => ctx.query_site,
+            (LogicalOp::Scan { .. }, Annotation::Client) => ctx.query_site,
+            (LogicalOp::Scan { rel }, Annotation::PrimaryCopy) => ctx.catalog.primary_site(rel),
+            (_, Annotation::Consumer) if id == plan.root() => {
+                return ControlFlow::Break(BindError::Malformed {
+                    node: id,
+                    reason: "'consumer' annotation on the root: no parent to follow".into(),
+                })
+            }
+            (_, Annotation::Consumer) => UNBOUND,
+            (_, ann) => match ann.points_down_at().and_then(|slot| n.children[slot]) {
+                Some(c) => sites[c.index()],
+                None => {
+                    return ControlFlow::Break(BindError::Malformed {
+                        node: id,
+                        reason: format!("annotation '{ann}' on {:?} has no child to follow", n.op),
+                    })
+                }
+            },
+        };
+        ControlFlow::Continue(())
+    });
+    if let ControlFlow::Break(err) = up {
+        return Err(err);
+    }
+
+    // Top-down: a `consumer` copies its parent's site, resolved first.
+    if !push_down(plan, plan.root(), sites) {
+        return Err(BindError::Cycle {
+            unresolved: plan
+                .postorder()
+                .into_iter()
+                .filter(|id| sites[id.index()] == UNBOUND)
+                .collect(),
+        });
+    }
+    // Unreachable slots are never read; they hold the client.
+    for site in sites.iter_mut().filter(|s| **s == UNBOUND) {
+        *site = ctx.query_site;
+    }
+    Ok(())
+}
+
+/// Resolve the `consumer` children under `id` from their parents; true
+/// when every node of the subtree (`id` included) has a site.
+fn push_down(plan: &Plan, id: NodeId, sites: &mut [SiteId]) -> bool {
+    let site = sites[id.index()];
+    let mut resolved = site != UNBOUND;
+    for c in plan.node(id).child_ids() {
+        if sites[c.index()] == UNBOUND && plan.node(c).ann == Annotation::Consumer {
+            sites[c.index()] = site;
+        }
+        resolved &= push_down(plan, c, sites);
+    }
+    resolved
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ pub mod policy;
 pub mod wellformed;
 
 pub use annotation::Annotation;
-pub use bind::{bind, BindContext, BindError, BoundPlan};
+pub use bind::{bind, bind_into, BindContext, BindError, BoundPlan};
 pub use builder::JoinTree;
 pub use cancel::{CancelToken, StopReason};
 pub use diag::{DiagCode, Diagnostic};

@@ -12,6 +12,7 @@
 //! keeps clones compact.
 
 use std::fmt;
+use std::ops::ControlFlow;
 
 use csqp_catalog::{QuerySpec, RelId, RelSet};
 use csqp_json::{Json, JsonError};
@@ -108,10 +109,27 @@ impl PlanNode {
 }
 
 /// An annotated query plan: an arena of nodes plus the root (display).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct Plan {
     nodes: Vec<PlanNode>,
     root: NodeId,
+}
+
+/// `clone_from` copies into the arena already held, so a search that
+/// overwrites one candidate per step allocates only when the arena
+/// grows (the derived impl would drop it and allocate a fresh one).
+impl Clone for Plan {
+    fn clone(&self) -> Plan {
+        Plan {
+            nodes: self.nodes.clone(),
+            root: self.root,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Plan) {
+        self.nodes.clone_from(&source.nodes);
+        self.root = source.root;
+    }
 }
 
 impl Plan {
@@ -157,15 +175,31 @@ impl Plan {
     /// before parents; child 0 before child 1).
     pub fn postorder(&self) -> Vec<NodeId> {
         let mut out = Vec::with_capacity(self.nodes.len());
-        self.postorder_from(self.root, &mut out);
+        let _ = self.try_for_each_postorder(|id| {
+            out.push(id);
+            ControlFlow::<()>::Continue(())
+        });
         out
     }
 
-    fn postorder_from(&self, id: NodeId, out: &mut Vec<NodeId>) {
+    /// Call `f` on every reachable node in [`Plan::postorder`]'s order,
+    /// without allocating, until `f` breaks.
+    pub fn try_for_each_postorder<B>(
+        &self,
+        mut f: impl FnMut(NodeId) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
+        self.postorder_from(self.root, &mut f)
+    }
+
+    fn postorder_from<B>(
+        &self,
+        id: NodeId,
+        f: &mut impl FnMut(NodeId) -> ControlFlow<B>,
+    ) -> ControlFlow<B> {
         for c in self.node(id).child_ids() {
-            self.postorder_from(c, out);
+            self.postorder_from(c, f)?;
         }
-        out.push(id);
+        f(id)
     }
 
     /// Map from node to its parent (and which child slot it occupies).

@@ -12,11 +12,13 @@
 //! at a child slot whose occupant's annotation points back up
 //! (`consumer`).
 
+use std::ops::ControlFlow;
+
 use crate::diag::{DiagCode, Diagnostic};
 use crate::plan::Plan;
 
-/// True when `plan` has no annotation cycle, i.e. site binding will
-/// terminate.
+/// True when `plan` has no annotation cycle, i.e. every site binds.
+/// Allocation-free, so a search can screen every candidate with it.
 pub fn is_well_formed(plan: &Plan) -> bool {
     find_cycle(plan).is_none()
 }
@@ -28,18 +30,17 @@ pub fn is_well_formed(plan: &Plan) -> bool {
 /// violation) is not a cycle; [`check_well_formed`] reports it as a
 /// diagnostic, and `Plan::validate_structure` rejects it outright.
 pub fn find_cycle(plan: &Plan) -> Option<(crate::plan::NodeId, crate::plan::NodeId)> {
-    for id in plan.postorder() {
+    let found = plan.try_for_each_postorder(|id| {
         let n = plan.node(id);
-        if let Some(slot) = n.ann.points_down_at() {
-            let Some(child) = n.children[slot] else {
-                continue;
-            };
-            if plan.node(child).ann.points_up() {
-                return Some((id, child));
-            }
+        match n.ann.points_down_at().and_then(|slot| n.children[slot]) {
+            Some(child) if plan.node(child).ann.points_up() => ControlFlow::Break((id, child)),
+            _ => ControlFlow::Continue(()),
         }
+    });
+    match found {
+        ControlFlow::Break(pair) => Some(pair),
+        ControlFlow::Continue(()) => None,
     }
-    None
 }
 
 /// Check well-formedness, reporting the offending annotation pair with

@@ -13,11 +13,11 @@ use csqp_catalog::{
     hybrid_hash_plan, join_memory, sat_u64, Catalog, Estimator, HashPlan, QuerySpec, RelSet,
     SiteId, SystemConfig,
 };
-use csqp_core::{bind, BindContext, BoundPlan, LogicalOp, NodeId, Plan};
+use csqp_core::{bind_into, BindContext, BoundPlan, LogicalOp, NodeId, Plan};
 use csqp_net::CONTROL_MSG_BYTES;
 
 use crate::objective::Objective;
-use crate::usage::ResourceUsage;
+use crate::usage::{bottleneck_seconds, total_seconds, NodeUsage, ResourceUsage, UsageSlab};
 
 /// Cost of one subtree.
 ///
@@ -36,7 +36,13 @@ use crate::usage::ResourceUsage;
 /// §4.2.3) — so the estimate is `max(bottleneck, pre + stream)`.
 #[derive(Debug, Clone)]
 struct NodeCost {
-    usage: ResourceUsage,
+    /// The node, whose slot in the pass's [`UsageSlab`] holds the CPU and
+    /// disk seconds of its subtree.
+    id: NodeId,
+    /// Seconds of network wire occupancy of the subtree.
+    net_wire: f64,
+    /// Data pages the subtree ships over the wire.
+    pages_sent: f64,
     /// Seconds before the first output page can appear.
     pre: f64,
     /// Serial seconds to stream the full output thereafter.
@@ -47,12 +53,6 @@ struct NodeCost {
     tuples: f64,
     /// Pages the node emits to its consumer.
     pages: f64,
-}
-
-impl NodeCost {
-    fn response(&self) -> f64 {
-        (self.pre + self.stream).max(self.usage.bottleneck_seconds())
-    }
 }
 
 /// Every objective of one plan, read from a single cost pass.
@@ -95,6 +95,16 @@ struct EstimateMemo {
     hash_plans: BTreeMap<u64, HashPlan>,
 }
 
+/// Buffers each cost pass overwrites, kept so that pricing a candidate
+/// allocates nothing once they have grown to the plan's size.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// The sites [`CostModel::cost_plan`] binds a candidate to.
+    sites: Vec<SiteId>,
+    /// Per-node CPU and disk seconds.
+    usage: UsageSlab,
+}
+
 /// The cost model for a fixed query / catalog / configuration.
 #[derive(Debug, Clone)]
 pub struct CostModel<'a> {
@@ -107,6 +117,7 @@ pub struct CostModel<'a> {
     disk_load: Vec<f64>,
     query_site: SiteId,
     memo: RefCell<EstimateMemo>,
+    scratch: RefCell<Scratch>,
 }
 
 impl<'a> CostModel<'a> {
@@ -126,6 +137,7 @@ impl<'a> CostModel<'a> {
             disk_load: vec![0.0; catalog.num_servers() as usize + 1],
             query_site,
             memo: RefCell::default(),
+            scratch: RefCell::default(),
         }
     }
 
@@ -146,26 +158,43 @@ impl<'a> CostModel<'a> {
 
     /// Every objective of a bound plan, from one cost pass.
     pub fn cost_bound(&self, bound: &BoundPlan) -> PlanCost {
-        let cost = self.node_cost(bound, bound.plan.root());
-        PlanCost {
-            pages_sent: cost.usage.pages_sent,
-            response: cost.response(),
-            total_seconds: cost.usage.total_seconds(),
-        }
+        self.cost_pass(
+            &bound.plan,
+            &bound.sites,
+            &mut self.scratch.borrow_mut().usage,
+        )
     }
 
     /// Bind `plan` once and cost it once; `None` when binding fails
     /// (annotation cycle) — the optimizer treats such plans as unusable.
+    /// Binds into the model's own buffers, so a search that prices
+    /// thousands of candidates allocates only while they grow.
     pub fn cost_plan(&self, plan: &Plan) -> Option<PlanCost> {
-        let bound = bind(
-            plan,
-            BindContext {
-                catalog: self.catalog,
-                query_site: self.query_site,
-            },
-        )
-        .ok()?;
-        Some(self.cost_bound(&bound))
+        let mut scratch = self.scratch.borrow_mut();
+        let Scratch { sites, usage } = &mut *scratch;
+        let ctx = BindContext {
+            catalog: self.catalog,
+            query_site: self.query_site,
+        };
+        bind_into(plan, ctx, sites).ok()?;
+        Some(self.cost_pass(plan, sites, usage))
+    }
+
+    /// Every objective of `plan` bound to `sites`, from one pass.
+    fn cost_pass(&self, plan: &Plan, sites: &[SiteId], slab: &mut UsageSlab) -> PlanCost {
+        let root = self.root_cost(plan, sites, slab);
+        let (cpu, disk) = (slab.cpu(root.id), slab.disk(root.id));
+        PlanCost {
+            pages_sent: root.pages_sent,
+            response: (root.pre + root.stream).max(bottleneck_seconds(cpu, disk, root.net_wire)),
+            total_seconds: total_seconds(cpu, disk, root.net_wire),
+        }
+    }
+
+    /// Cost the whole plan, leaving each node's usage in its slab slot.
+    fn root_cost(&self, plan: &Plan, sites: &[SiteId], slab: &mut UsageSlab) -> NodeCost {
+        slab.reset(self.num_sites(), plan.arena_len());
+        self.node_cost(plan, sites, slab, plan.root())
     }
 
     /// Evaluate a bound plan under an objective (lower is better).
@@ -201,7 +230,14 @@ impl<'a> CostModel<'a> {
 
     /// Full usage vector of a bound plan.
     pub fn usage(&self, bound: &BoundPlan) -> ResourceUsage {
-        self.node_cost(bound, bound.plan.root()).usage
+        let slab = &mut self.scratch.borrow_mut().usage;
+        let root = self.root_cost(&bound.plan, &bound.sites, slab);
+        ResourceUsage {
+            cpu: slab.cpu(root.id).to_vec(),
+            disk: slab.disk(root.id).to_vec(),
+            net_wire: root.net_wire,
+            pages_sent: root.pages_sent,
+        }
     }
 
     /// The `(tuples, pages)` estimates memoized so far, by relation set
@@ -263,7 +299,7 @@ impl<'a> CostModel<'a> {
 
     /// Charge a pipelined transfer of `pages` data pages from `from` to
     /// `to` (no charge when co-located).
-    fn transfer(&self, u: &mut ResourceUsage, from: SiteId, to: SiteId, pages: f64) {
+    fn transfer(&self, u: &mut NodeUsage<'_>, from: SiteId, to: SiteId, pages: f64) {
         if from == to || pages <= 0.0 {
             return;
         }
@@ -280,16 +316,30 @@ impl<'a> CostModel<'a> {
     /// its consumer reads them instead of re-walking the subtree: scans
     /// emit the raw relation, aggregates `min(groups, input)` tuples, and
     /// every other operator the estimator's size for its relation set.
+    ///
+    /// The children are costed first (inner before outer), each into its
+    /// own slab slot; then the node opens its zeroed slot, adds its own
+    /// charges and merges the inner child, then the outer — the order of
+    /// float additions a per-node `ResourceUsage` had.
     // `expect("arity")` is an invariant, not an error path: costing only
-    // sees plans inside a `BoundPlan`, and `bind` rejects missing inputs
-    // as `BindError::Malformed` before one can exist.
+    // sees plans that bound, and binding rejects missing inputs as
+    // `BindError::Malformed`.
     #[allow(clippy::expect_used)]
-    fn node_cost(&self, bound: &BoundPlan, id: NodeId) -> NodeCost {
-        let plan = &bound.plan;
+    fn node_cost(
+        &self,
+        plan: &Plan,
+        sites: &[SiteId],
+        slab: &mut UsageSlab,
+        id: NodeId,
+    ) -> NodeCost {
         let n = plan.node(id);
-        let site = bound.site(id);
+        let site = sites[id.index()];
         let cfg = self.config;
-        let mut u = ResourceUsage::zero(self.num_sites());
+        let [first, second] = [0, 1].map(|slot| {
+            (slot < n.op.arity())
+                .then(|| self.node_cost(plan, sites, slab, n.children[slot].expect("arity")))
+        });
+        let mut u = NodeUsage::open(slab, id);
         let mut pre = 0.0f64;
         // Every arm assigns `stream`; the compiler cannot see that.
         #[allow(unused_assignments)]
@@ -341,10 +391,9 @@ impl<'a> CostModel<'a> {
                 (RelSet::single(rel), (r.tuples as f64, pages))
             }
             LogicalOp::Select { rel } => {
-                let child = n.children[0].expect("arity");
-                let c = self.node_cost(bound, child);
+                let c = first.expect("arity");
                 let (in_tuples, in_pages) = (c.tuples, c.pages);
-                self.transfer(&mut u, bound.site(child), site, in_pages);
+                self.transfer(&mut u, sites[c.id.index()], site, in_pages);
                 let cmp = in_tuples * cfg.cpu_secs(cfg.compare_inst);
                 u.add_cpu(site, cmp);
                 // Copy surviving tuples into output pages.
@@ -356,18 +405,16 @@ impl<'a> CostModel<'a> {
                 // The select streams with its input; its CPU overlaps the
                 // input's I/O unless it dominates.
                 stream = c.stream.max(cmp + mv);
-                u.merge(&c.usage);
+                u.merge(c.id, c.net_wire, c.pages_sent);
                 let rels = RelSet::single(rel).union(c.rels);
                 (rels, self.sizes(rels))
             }
             LogicalOp::Join => {
-                let (ci, co) = (n.children[0].expect("arity"), n.children[1].expect("arity"));
-                let inner = self.node_cost(bound, ci);
-                let outer = self.node_cost(bound, co);
+                let (inner, outer) = (first.expect("arity"), second.expect("arity"));
                 let (in_tuples, in_pages) = (inner.tuples, inner.pages);
                 let (out_tuples_probe, out_pages_probe) = (outer.tuples, outer.pages);
-                self.transfer(&mut u, bound.site(ci), site, in_pages);
-                self.transfer(&mut u, bound.site(co), site, out_pages_probe);
+                self.transfer(&mut u, sites[inner.id.index()], site, in_pages);
+                self.transfer(&mut u, sites[outer.id.index()], site, out_pages_probe);
                 let rels = inner.rels.union(outer.rels);
                 let (res_tuples, res_pages) = self.sizes(rels);
 
@@ -403,15 +450,14 @@ impl<'a> CostModel<'a> {
                 // overlaps the build phase.
                 pre = (inner.pre + inner.stream.max(build_cpu)).max(outer.pre);
                 stream = outer.stream.max(probe_cpu) + partition_serial;
-                u.merge(&inner.usage);
-                u.merge(&outer.usage);
+                u.merge(inner.id, inner.net_wire, inner.pages_sent);
+                u.merge(outer.id, outer.net_wire, outer.pages_sent);
                 (rels, (res_tuples, res_pages))
             }
             LogicalOp::Aggregate { groups } => {
-                let child = n.children[0].expect("arity");
-                let c = self.node_cost(bound, child);
+                let c = first.expect("arity");
                 let (in_tuples, in_pages) = (c.tuples, c.pages);
-                self.transfer(&mut u, bound.site(child), site, in_pages);
+                self.transfer(&mut u, sites[c.id.index()], site, in_pages);
                 // Hash-based grouping: hash every input tuple, move every
                 // output group tuple.
                 let out_tuples = (groups as f64).min(in_tuples);
@@ -423,26 +469,27 @@ impl<'a> CostModel<'a> {
                 // emitting anything.
                 pre = c.pre + c.stream.max(agg_cpu);
                 stream = 0.0;
-                u.merge(&c.usage);
+                u.merge(c.id, c.net_wire, c.pages_sent);
                 let per_page = (cfg.page_size / tuple_bytes) as f64;
                 (c.rels, (out_tuples, (out_tuples / per_page).ceil()))
             }
             LogicalOp::Display => {
-                let child = n.children[0].expect("arity");
-                let c = self.node_cost(bound, child);
-                self.transfer(&mut u, bound.site(child), site, c.pages);
+                let c = first.expect("arity");
+                self.transfer(&mut u, sites[c.id.index()], site, c.pages);
                 let disp = c.tuples * cfg.cpu_secs(cfg.display_inst);
                 u.add_cpu(site, disp);
                 pre = c.pre;
                 stream = c.stream.max(disp);
-                u.merge(&c.usage);
+                u.merge(c.id, c.net_wire, c.pages_sent);
                 // The root has no consumer; it passes its input through.
                 (c.rels, (c.tuples, c.pages))
             }
         };
 
         NodeCost {
-            usage: u,
+            id,
+            net_wire: u.net_wire,
+            pages_sent: u.pages_sent,
             pre,
             stream,
             rels,
@@ -456,7 +503,7 @@ impl<'a> CostModel<'a> {
 mod tests {
     use super::*;
     use csqp_catalog::{BufAlloc, JoinEdge, RelId, Relation};
-    use csqp_core::{Annotation, JoinTree};
+    use csqp_core::{bind, Annotation, JoinTree};
 
     fn chain(n: u32) -> QuerySpec {
         let rels = (0..n)

@@ -1,17 +1,20 @@
 //! The committed perf records (`BENCH_*.json`): one schema, one writer,
-//! and the gate that holds a fresh run against the record it replaces.
+//! and the gate that holds a fresh run against the committed record.
 //!
 //! Every record is `{"bench", "config": {…}, "host_cores", "metrics":
-//! {…}}`. [`gate_and_write`] reads the record already at the path
-//! before writing: with the same `bench` and `config`, every
-//! [`Gate::Floor`] metric must reach [`FLOOR_FRACTION`] of its committed
-//! value and every [`Gate::Exact`] metric must equal it. A different
-//! `config` fails, naming the key, because the numbers would not be
-//! comparable: delete the record on purpose to start a new trajectory.
-//! A missing file is written and passes. Nothing is written on failure,
-//! so the committed record stays the reference.
+//! {…}}`. [`gate_and_write`] reads the record at the path: with the same
+//! `bench` and `config`, every [`Gate::Floor`] metric must reach
+//! [`FLOOR_FRACTION`] of its committed value and every [`Gate::Exact`]
+//! metric must equal it. A different `config` fails, naming the key,
+//! because the numbers would not be comparable: delete the record on
+//! purpose to start a new trajectory. A missing record passes.
+//!
+//! The committed record is only ever read. A passing run is written to
+//! `target/bench/` beside the record, under the same file name;
+//! re-recording means copying that file over the committed one on
+//! purpose. Nothing is written on failure.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::Json;
 
@@ -31,11 +34,21 @@ pub enum Gate {
     Exact,
 }
 
-/// Gate a fresh run against the record at `path`, then write it there.
+/// Where a passing run against the record at `path` is written:
+/// `target/bench/<file name>` in the record's directory, so
+/// `BENCH_sim.json` gives `target/bench/BENCH_sim.json`.
+fn fresh_path(path: &Path) -> Option<PathBuf> {
+    let dir = path.parent().unwrap_or(Path::new(""));
+    Some(dir.join("target").join("bench").join(path.file_name()?))
+}
+
+/// Gate a fresh run against the committed record at `path`, then write
+/// the run to `target/bench/<file name>` in the record's directory; the
+/// committed record is not touched.
 ///
 /// On success returns one line per gated metric (fresh value against
 /// its floor or committed value) plus the `wrote` line; on failure
-/// returns why and leaves the file untouched.
+/// returns why and writes nothing.
 pub fn gate_and_write(
     path: impl AsRef<Path>,
     bench: &str,
@@ -44,6 +57,7 @@ pub fn gate_and_write(
 ) -> Result<String, String> {
     let path = path.as_ref();
     let shown = path.display();
+    let fresh = fresh_path(path).ok_or_else(|| format!("{shown} names no record file"))?;
     let config = crate::obj(config);
     let mut report = Vec::new();
     match std::fs::read_to_string(path) {
@@ -71,9 +85,16 @@ pub fn gate_and_write(
             crate::obj(metrics.into_iter().map(|(k, v, _)| (k, v)).collect()),
         ),
     ]);
-    std::fs::write(path, record.render_pretty())
-        .map_err(|e| format!("writing {shown} failed: {e}"))?;
-    report.push(format!("wrote {shown}"));
+    let written = fresh.display();
+    if let Some(dir) = fresh.parent() {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("creating {} failed: {e}", dir.display()))?;
+    }
+    std::fs::write(&fresh, record.render_pretty())
+        .map_err(|e| format!("writing {written} failed: {e}"))?;
+    report.push(format!(
+        "wrote {written} (copy it over {shown} to re-record the trajectory)"
+    ));
     Ok(report.join("\n"))
 }
 
@@ -149,20 +170,27 @@ fn differing_key(old: &Json, new: &Json) -> Option<String> {
 mod tests {
     use super::*;
 
-    /// A record path of its own per test (tests run in parallel),
-    /// removed when the test ends.
-    struct Scratch(std::path::PathBuf);
+    /// A directory of its own per test (tests run in parallel), removed
+    /// when the test ends, holding the record path `record.json`.
+    struct Scratch(PathBuf);
 
     impl Drop for Scratch {
         fn drop(&mut self) {
-            let _ = std::fs::remove_file(&self.0);
+            let _ = std::fs::remove_dir_all(&self.0);
         }
     }
 
-    fn scratch(name: &str) -> Scratch {
-        let path = std::env::temp_dir().join(format!("csqp-json-{}-{name}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        Scratch(path)
+    fn scratch(name: &str) -> (Scratch, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("csqp-json-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("record.json");
+        (Scratch(dir), path)
+    }
+
+    /// Re-record on purpose: copy the fresh run over the committed record.
+    fn commit(path: &Path) {
+        std::fs::copy(fresh_path(path).unwrap(), path).unwrap();
     }
 
     fn run(path: &Path, seed: u64, rate: f64, digest: &str) -> Result<String, String> {
@@ -179,10 +207,24 @@ mod tests {
     }
 
     #[test]
-    fn missing_record_is_written_and_passes() {
-        let Scratch(path) = &scratch("missing.json");
+    fn fresh_run_goes_under_target_bench_beside_the_record() {
+        assert_eq!(
+            fresh_path(Path::new("BENCH_sim.json")).unwrap(),
+            Path::new("target/bench/BENCH_sim.json")
+        );
+        assert_eq!(
+            fresh_path(Path::new("out/BENCH_x.json")).unwrap(),
+            Path::new("out/target/bench/BENCH_x.json")
+        );
+    }
+
+    #[test]
+    fn missing_record_passes_and_only_the_fresh_run_is_written() {
+        let (_dir, path) = &scratch("missing");
         run(path, 1, 30.0, "ab").unwrap();
-        let rec = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+        assert!(!path.exists(), "the committed record must not be created");
+        let fresh = fresh_path(path).unwrap();
+        let rec = Json::parse(&std::fs::read_to_string(fresh).unwrap()).unwrap();
         assert_eq!(rec.get("bench").and_then(Json::as_str), Some("test bench"));
         let metrics = rec.field("metrics").unwrap();
         assert_eq!(metrics.get("rate"), Some(&Json::from(30.0)));
@@ -191,16 +233,34 @@ mod tests {
     }
 
     #[test]
-    fn floor_metric_at_exactly_the_fraction_passes() {
-        let Scratch(path) = &scratch("at_floor.json");
+    fn passing_run_leaves_the_committed_record_alone() {
+        let (_dir, path) = &scratch("untouched");
         run(path, 1, 30.0, "ab").unwrap();
+        commit(path);
+        let before = std::fs::read(path).unwrap();
+        run(path, 1, 45.0, "ab").unwrap();
+        assert_eq!(std::fs::read(path).unwrap(), before);
+        let fresh = std::fs::read_to_string(fresh_path(path).unwrap()).unwrap();
+        let rec = Json::parse(&fresh).unwrap();
+        assert_eq!(
+            rec.field("metrics").unwrap().get("rate"),
+            Some(&Json::from(45.0))
+        );
+    }
+
+    #[test]
+    fn floor_metric_at_exactly_the_fraction_passes() {
+        let (_dir, path) = &scratch("at_floor");
+        run(path, 1, 30.0, "ab").unwrap();
+        commit(path);
         run(path, 1, 30.0 * FLOOR_FRACTION, "ab").unwrap();
     }
 
     #[test]
     fn floor_metric_just_below_the_fraction_fails() {
-        let Scratch(path) = &scratch("below_floor.json");
+        let (_dir, path) = &scratch("below_floor");
         run(path, 1, 30.0, "ab").unwrap();
+        commit(path);
         let below = f64::from_bits((30.0 * FLOOR_FRACTION).to_bits() - 1);
         let err = run(path, 1, below, "ab").unwrap_err();
         assert!(err.contains("`rate`"), "{err}");
@@ -208,19 +268,24 @@ mod tests {
 
     #[test]
     fn exact_metric_that_differs_fails() {
-        let Scratch(path) = &scratch("exact.json");
+        let (_dir, path) = &scratch("exact");
         run(path, 1, 30.0, "ab").unwrap();
+        commit(path);
         let err = run(path, 1, 30.0, "ac").unwrap_err();
         assert!(err.contains("`digest`"), "{err}");
     }
 
     #[test]
-    fn differing_config_fails_and_leaves_the_file_alone() {
-        let Scratch(path) = &scratch("config.json");
+    fn differing_config_fails_and_writes_nothing() {
+        let (_dir, path) = &scratch("config");
         run(path, 1, 30.0, "ab").unwrap();
+        commit(path);
+        let fresh = fresh_path(path).unwrap();
+        std::fs::remove_file(&fresh).unwrap();
         let before = std::fs::read(path).unwrap();
         let err = run(path, 2, 30.0, "ab").unwrap_err();
         assert!(err.contains("config `seed`"), "{err}");
         assert_eq!(std::fs::read(path).unwrap(), before);
+        assert!(!fresh.exists(), "a failing run must not write");
     }
 }

@@ -380,6 +380,12 @@ pub const ALLOWLIST: &[Allow] = &[
               only reads cached fractions",
     },
     Allow {
+        path: "crates/optimizer/tests/alloc_budget.rs",
+        rule: RuleKind::CatalogMutation,
+        why: "allocation-budget tests build one seeded catalog per topology \
+              before counting",
+    },
+    Allow {
         path: "crates/optimizer/tests/memo_identity.rs",
         rule: RuleKind::CatalogMutation,
         why: "memo identity tests mutate a catalog precisely to prove a \

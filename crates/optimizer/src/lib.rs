@@ -38,8 +38,8 @@ mod cost_wall;
 pub use dp::dp_join_order;
 pub use exhaustive::exhaustive_optimum;
 pub use moves::MoveSet;
-pub use moves::{applicable_moves, apply_move, Move, MoveKind};
-pub use random::{random_neighbor, random_plan};
+pub use moves::{applicable_moves, applicable_moves_into, apply_move, Move, MoveKind};
+pub use random::{random_neighbor, random_neighbor_into, random_plan};
 pub use search::{OptConfig, OptResult, Optimizer};
 pub use twostep::{
     explicit_placement, two_step_plan, CompileTimeAssumption, MemoOutcome, TwoStepPlanner,

@@ -21,10 +21,13 @@
 //! which cannot flip the build side of a 2-way join at all. The extension
 //! can be disabled (`paper_moves_only`) to search the paper's exact space.
 //!
-//! A move application returns a *new* plan (the optimizer keeps the old
-//! one for rejection); moves that would produce an ill-formed plan
-//! (annotation cycle, §2.2.3) are filtered out by the caller via
-//! [`csqp_core::is_well_formed`].
+//! A move is applied in place to a candidate the search overwrites on
+//! every step (the optimizer keeps the current plan for rejection);
+//! [`apply_move`] is the copying form. Moves that would produce an
+//! ill-formed plan (annotation cycle, §2.2.3) are filtered out by the
+//! caller via [`csqp_core::is_well_formed`].
+
+use std::ops::ControlFlow;
 
 use csqp_catalog::QuerySpec;
 use csqp_core::{Annotation, LogicalOp, NodeId, Plan, Policy};
@@ -117,7 +120,15 @@ impl MoveSet {
 /// scans, and "a join is never moved to the site of its consumer".
 pub fn applicable_moves(plan: &Plan, policy: Policy, set: MoveSet) -> Vec<Move> {
     let mut out = Vec::new();
-    for id in plan.postorder() {
+    applicable_moves_into(plan, policy, set, &mut out);
+    out
+}
+
+/// [`applicable_moves`] into a caller's buffer, cleared first: the same
+/// moves in the same order, without allocating once `out` has grown.
+pub fn applicable_moves_into(plan: &Plan, policy: Policy, set: MoveSet, out: &mut Vec<Move>) {
+    out.clear();
+    let _ = plan.try_for_each_postorder(|id| {
         let n = plan.node(id);
         match n.op {
             LogicalOp::Join => {
@@ -194,8 +205,8 @@ pub fn applicable_moves(plan: &Plan, policy: Policy, set: MoveSet) -> Vec<Move> 
             }
             LogicalOp::Display => {}
         }
-    }
-    out
+        ControlFlow::<()>::Continue(())
+    });
 }
 
 /// Apply `mv` to a copy of `plan`. Returns `None` when the move does not
@@ -203,6 +214,12 @@ pub fn applicable_moves(plan: &Plan, policy: Policy, set: MoveSet) -> Vec<Move> 
 /// structurally valid plans.
 pub fn apply_move(plan: &Plan, mv: Move) -> Option<Plan> {
     let mut p = plan.clone();
+    apply_in_place(&mut p, mv).map(|()| p)
+}
+
+/// [`apply_move`] on `p` itself. Every applicability check runs before
+/// the first write, so a `None` leaves `p` as it was.
+fn apply_in_place(p: &mut Plan, mv: Move) -> Option<()> {
     let n = p.node(mv.node).clone();
     match mv.kind {
         MoveKind::Commute => {
@@ -283,7 +300,7 @@ pub fn apply_move(plan: &Plan, mv: Move) -> Option<Plan> {
             p.node_mut(mv.node).ann = ann;
         }
     }
-    Some(p)
+    Some(())
 }
 
 /// Apply `mv` and hand the result to the static checker
@@ -304,25 +321,36 @@ pub fn apply_move_verified(
     query: &QuerySpec,
     policy: Policy,
 ) -> Option<Plan> {
-    let next = apply_move(plan, mv)?;
+    let mut next = plan.clone();
+    apply_move_verified_in_place(&mut next, mv, query, policy).then_some(next)
+}
+
+/// [`apply_move_verified`] on `p` itself: `true` when `p` now holds the
+/// checker-verified result. On `false` the move did not apply (`p` is
+/// untouched) or made a cycle (`p` holds the ill-formed plan); either
+/// way the caller discards `p`.
+pub(crate) fn apply_move_verified_in_place(
+    p: &mut Plan,
+    mv: Move,
+    query: &QuerySpec,
+    policy: Policy,
+) -> bool {
+    if apply_in_place(p, mv).is_none() {
+        return false;
+    }
     #[cfg(debug_assertions)]
     {
-        let report = csqp_verify::check_logical(&next, query, policy);
+        let report = csqp_verify::check_logical(p, query, policy);
         if !report.is_clean() && !report.only(csqp_verify::DiagCode::AnnotationCycle) {
-            panic!("move {mv:?} broke plan invariants:\n{report}\nplan: {next}");
+            panic!("move {mv:?} broke plan invariants:\n{report}\nplan: {p}");
         }
-        if !report.is_clean() {
-            return None;
-        }
+        report.is_clean()
     }
     #[cfg(not(debug_assertions))]
     {
         let _ = (query, policy);
-        if !csqp_core::is_well_formed(&next) {
-            return None;
-        }
+        csqp_core::is_well_formed(p)
     }
-    Some(next)
 }
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use csqp_catalog::{QuerySpec, RelSet};
 use csqp_core::{Annotation, JoinTree, Plan, Policy};
 use csqp_simkernel::rng::SimRng;
 
-use crate::moves::{applicable_moves, apply_move_verified, MoveKind, MoveSet};
+use crate::moves::{applicable_moves, apply_move_verified_in_place, Move, MoveKind, MoveSet};
 
 /// Generate a random plan in `policy`'s search space.
 pub fn random_plan(query: &QuerySpec, policy: Policy, rng: &mut SimRng) -> Plan {
@@ -90,9 +90,10 @@ pub fn random_join_tree(query: &QuerySpec, rng: &mut SimRng) -> JoinTree {
         .iter()
         .map(|r| (JoinTree::leaf(r.id), RelSet::single(r.id)))
         .collect();
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
     while forest.len() > 1 {
         // Prefer a joinable pair; fall back to any pair (cross product).
-        let mut pairs: Vec<(usize, usize)> = Vec::new();
+        pairs.clear();
         for i in 0..forest.len() {
             for j in 0..forest.len() {
                 if i != j && query.joinable(forest[i].1, forest[j].1) {
@@ -126,7 +127,7 @@ pub fn random_join_tree(query: &QuerySpec, rng: &mut SimRng) -> JoinTree {
 
 /// Take one uniformly random applicable move, returning a
 /// checker-verified plan (see
-/// [`apply_move_verified`]); `None`
+/// [`apply_move_verified`](crate::moves::apply_move_verified)); `None`
 /// when the move would break well-formedness or nothing applies.
 pub fn random_neighbor(
     plan: &Plan,
@@ -136,12 +137,30 @@ pub fn random_neighbor(
     rng: &mut SimRng,
 ) -> Option<(Plan, MoveKind)> {
     let moves = applicable_moves(plan, policy, set);
+    let mut candidate = plan.clone();
+    let kind = random_neighbor_into(plan, &moves, query, policy, rng, &mut candidate)?;
+    Some((candidate, kind))
+}
+
+/// [`random_neighbor`] with the caller's buffers, the step the search
+/// takes: `moves` must be [`applicable_moves`] of `plan` (it stays valid
+/// until `plan` changes), and the neighbor is written over `candidate`
+/// with [`Plan::clone_from`]. Draws the same random numbers as
+/// `random_neighbor`; on `None` `candidate` holds no usable plan.
+pub fn random_neighbor_into(
+    plan: &Plan,
+    moves: &[Move],
+    query: &QuerySpec,
+    policy: Policy,
+    rng: &mut SimRng,
+    candidate: &mut Plan,
+) -> Option<MoveKind> {
     if moves.is_empty() {
         return None;
     }
-    let mv = *rng.pick(&moves);
-    let candidate = apply_move_verified(plan, mv, query, policy)?;
-    Some((candidate, mv.kind))
+    let mv = *rng.pick(moves);
+    candidate.clone_from(plan);
+    apply_move_verified_in_place(candidate, mv, query, policy).then_some(mv.kind)
 }
 
 #[cfg(test)]

@@ -16,8 +16,8 @@ use csqp_core::{Plan, Policy};
 use csqp_cost::{CostModel, Objective};
 use csqp_simkernel::rng::SimRng;
 
-use crate::moves::MoveSet;
-use crate::random::{random_neighbor, random_plan};
+use crate::moves::{applicable_moves_into, MoveSet};
+use crate::random::{random_neighbor_into, random_plan};
 
 /// Search parameters.
 #[derive(Debug, Clone)]
@@ -326,6 +326,11 @@ impl<'a> Optimizer<'a> {
     /// fixed small patience would declare a "local minimum" long before
     /// the neighborhood was sampled (IK90 define a local minimum by the
     /// neighborhood, not by a fixed number of draws).
+    ///
+    /// The move list changes only when a move is accepted, so it is
+    /// enumerated then (giving the new patience too). Each candidate is
+    /// written over one reused plan and accepted by a swap, so a step
+    /// allocates nothing.
     #[allow(clippy::too_many_arguments)]
     fn descend_in(
         &self,
@@ -337,30 +342,27 @@ impl<'a> Optimizer<'a> {
         evals: &mut u64,
         guard: &CancelToken,
     ) -> Result<(Plan, f64), StopReason> {
+        let query = self.model.query();
+        let mut moves = Vec::new();
+        applicable_moves_into(&plan, space, set, &mut moves);
+        let mut cand = plan.clone();
         let mut stuck = 0;
-        let mut patience = self
-            .config
-            .ii_patience
-            .max(3 * crate::moves::applicable_moves(&plan, space, set).len());
+        let mut patience = self.config.ii_patience.max(3 * moves.len());
         while stuck < patience {
             if let Some(reason) = guard.stop_reason() {
                 return Err(reason);
             }
-            match random_neighbor(&plan, self.model.query(), space, set, rng) {
-                Some((cand, _)) => match self.eval(&cand, evals) {
-                    Some(c) if c < cost => {
-                        plan = cand;
-                        cost = c;
-                        stuck = 0;
-                        patience = self
-                            .config
-                            .ii_patience
-                            .max(3 * crate::moves::applicable_moves(&plan, space, set).len());
-                    }
-                    _ => stuck += 1,
-                },
-                None => stuck += 1,
+            if random_neighbor_into(&plan, &moves, query, space, rng, &mut cand).is_some() {
+                if let Some(c) = self.eval(&cand, evals).filter(|&c| c < cost) {
+                    std::mem::swap(&mut plan, &mut cand);
+                    cost = c;
+                    stuck = 0;
+                    applicable_moves_into(&plan, space, set, &mut moves);
+                    patience = self.config.ii_patience.max(3 * moves.len());
+                    continue;
+                }
             }
+            stuck += 1;
         }
         Ok((plan, cost))
     }
@@ -391,7 +393,11 @@ impl<'a> Optimizer<'a> {
         let moves_per_stage = self.config.sa_moves_per_join * joins;
         let t0 = self.config.sa_t0_factor * start_cost.max(f64::MIN_POSITIVE);
         let mut t = t0;
+        let query = self.model.query();
         let (mut cur, mut cur_cost) = (start.clone(), start_cost);
+        let mut moves = Vec::new();
+        applicable_moves_into(&cur, self.policy, set, &mut moves);
+        let mut cand = start.clone();
         let (mut best, mut best_cost) = (start, start_cost);
         let mut stages_without_improvement = 0;
 
@@ -403,20 +409,20 @@ impl<'a> Optimizer<'a> {
                 if let Some(reason) = guard.stop_reason() {
                     return Err(reason);
                 }
-                let Some((cand, _)) =
-                    random_neighbor(&cur, self.model.query(), self.policy, set, rng)
-                else {
+                if random_neighbor_into(&cur, &moves, query, self.policy, rng, &mut cand).is_none()
+                {
                     continue;
-                };
+                }
                 let Some(c) = self.eval(&cand, evals) else {
                     continue;
                 };
                 let delta = c - cur_cost;
                 if delta <= 0.0 || rng.unit() < (-delta / t).exp() {
-                    cur = cand;
+                    std::mem::swap(&mut cur, &mut cand);
                     cur_cost = c;
+                    applicable_moves_into(&cur, self.policy, set, &mut moves);
                     if cur_cost < best_cost {
-                        best = cur.clone();
+                        best.clone_from(&cur);
                         best_cost = cur_cost;
                         improved = true;
                     }

@@ -1,16 +1,24 @@
 //! Property tests over the optimizer's transformation rules: arbitrary
 //! move sequences must preserve structural validity, policy membership,
 //! and the relation set — the invariants that make the randomized walk
-//! sound.
+//! sound. Two equivalence properties pin the buffer-reusing forms the
+//! search runs (DESIGN.md §21): `bind_into` against the fixpoint binder
+//! it replaced, and `random_neighbor_into` against `random_neighbor`.
 
 // Tests panic on broken setup by design.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use csqp_catalog::{Catalog, JoinEdge, QuerySpec, RelId, Relation, SiteId, SystemConfig};
-use csqp_core::{is_well_formed, Policy};
+use csqp_core::{
+    bind, bind_into, is_well_formed, Annotation, BindContext, BindError, LogicalOp, Plan, Policy,
+};
 use csqp_cost::{CostModel, Objective};
 use csqp_optimizer::moves::{apply_move_verified, MoveSet};
-use csqp_optimizer::{applicable_moves, apply_move, random_plan, OptConfig, Optimizer};
+use csqp_optimizer::random::randomize_annotations;
+use csqp_optimizer::{
+    applicable_moves, applicable_moves_into, apply_move, random_neighbor, random_neighbor_into,
+    random_plan, OptConfig, Optimizer,
+};
 use csqp_simkernel::rng::SimRng;
 use csqp_verify::{check_logical, Checker};
 use proptest::prelude::*;
@@ -28,6 +36,88 @@ fn chain(n: u32) -> QuerySpec {
         .collect();
     QuerySpec::new(rels, edges)
 }
+
+/// The binder `bind_into` replaced, kept as the oracle: resolve display
+/// and scans, then sweep the postorder until nothing changes, following
+/// each annotation to the parent (`consumer`) or a child.
+fn fixpoint_bind(plan: &Plan, ctx: BindContext<'_>) -> Result<Vec<SiteId>, BindError> {
+    let order = plan.postorder();
+    let parents = plan.parents();
+    let mut sites: Vec<Option<SiteId>> = vec![None; plan.arena_len()];
+    for &id in &order {
+        let n = plan.node(id);
+        sites[id.index()] = match (n.op, n.ann) {
+            (LogicalOp::Display, _) => Some(ctx.query_site),
+            (LogicalOp::Scan { .. }, Annotation::Client) => Some(ctx.query_site),
+            (LogicalOp::Scan { rel }, Annotation::PrimaryCopy) => {
+                Some(ctx.catalog.primary_site(rel))
+            }
+            _ => None,
+        };
+    }
+    loop {
+        let mut progress = false;
+        for &id in &order {
+            if sites[id.index()].is_some() {
+                continue;
+            }
+            let n = plan.node(id);
+            let referent = match n.ann {
+                Annotation::Consumer => match parents[id.index()] {
+                    Some((p, _)) => p,
+                    None => {
+                        return Err(BindError::Malformed {
+                            node: id,
+                            reason: "'consumer' annotation on the root: no parent to follow".into(),
+                        })
+                    }
+                },
+                ann => match ann.points_down_at().and_then(|slot| n.children[slot]) {
+                    Some(c) => c,
+                    None => {
+                        return Err(BindError::Malformed {
+                            node: id,
+                            reason: format!(
+                                "annotation '{ann}' on {:?} has no child to follow",
+                                n.op
+                            ),
+                        })
+                    }
+                },
+            };
+            if let Some(site) = sites[referent.index()] {
+                sites[id.index()] = Some(site);
+                progress = true;
+            }
+        }
+        if order.iter().all(|id| sites[id.index()].is_some()) {
+            break;
+        }
+        if !progress {
+            return Err(BindError::Cycle {
+                unresolved: order
+                    .iter()
+                    .copied()
+                    .filter(|id| sites[id.index()].is_none())
+                    .collect(),
+            });
+        }
+    }
+    Ok(sites
+        .into_iter()
+        .map(|s| s.unwrap_or(ctx.query_site))
+        .collect())
+}
+
+/// Every annotation the plan format can hold, legal or not.
+const ANNOTATIONS: [Annotation; 6] = [
+    Annotation::Client,
+    Annotation::PrimaryCopy,
+    Annotation::Consumer,
+    Annotation::Producer,
+    Annotation::InnerRel,
+    Annotation::OuterRel,
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
@@ -156,6 +246,97 @@ proptest! {
             "optimizer [{} / {}] returned a plan with diagnostics:\n{}",
             policy.short(), objective, report
         );
+    }
+
+    /// `bind_into` gives the fixpoint binder's sites, and fails exactly
+    /// when it does with the same error, on random plans, plans redrawn
+    /// and repaired, plans redrawn without repair (two-node cycles) and
+    /// plans with arbitrary, even illegal, annotations (`Malformed`).
+    /// `bind` agrees with both. One buffer serves every plan, so stale
+    /// contents from a larger or failed bind must not leak through.
+    #[test]
+    fn buffer_binder_matches_the_fixpoint_binder(
+        n in 2u32..8,
+        policy_idx in 0usize..3,
+        servers in 1u32..12,
+        seed in 0u64..100_000,
+    ) {
+        let q = chain(n).with_selection(RelId(0), 0.5);
+        let policy = Policy::ALL[policy_idx];
+        let mut catalog = Catalog::new(servers);
+        for (i, r) in q.relations.iter().enumerate() {
+            catalog.place(r.id, SiteId::server(1 + (i as u32 * 7) % servers));
+        }
+        let ctx = BindContext { catalog: &catalog, query_site: SiteId::CLIENT };
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut sites = vec![SiteId::server(servers); 64];
+        let (mut bound, mut failed) = (0, 0);
+        for round in 0..24 {
+            let mut plan = random_plan(&q, policy, &mut rng);
+            match round % 4 {
+                0 => {}
+                1 => randomize_annotations(&mut plan, policy, &mut rng),
+                2 => {
+                    for id in plan.postorder() {
+                        let op = plan.node(id).op;
+                        plan.node_mut(id).ann = *rng.pick(policy.allowed(op));
+                    }
+                }
+                _ => {
+                    for id in plan.postorder() {
+                        plan.node_mut(id).ann = *rng.pick(&ANNOTATIONS);
+                    }
+                }
+            }
+            let want = fixpoint_bind(&plan, ctx);
+            let got = bind_into(&plan, ctx, &mut sites).map(|()| sites.clone());
+            prop_assert_eq!(&got, &want, "{}", plan);
+            prop_assert_eq!(bind(&plan, ctx).map(|b| b.sites), want.clone(), "{}", plan);
+            if want.is_ok() { bound += 1 } else { failed += 1 }
+        }
+        prop_assert!(bound > 0, "no plan bound");
+        prop_assert!(failed > 0, "no plan failed to bind");
+    }
+
+    /// The search's in-place neighbor step, with a reused move list and
+    /// a reused candidate that starts as a different plan, gives the
+    /// same plan and move kind as `random_neighbor` and leaves the RNG
+    /// in the same state, on seeded walks for every policy and move set.
+    #[test]
+    fn in_place_neighbor_step_matches_random_neighbor(
+        n in 2u32..8,
+        policy_idx in 0usize..3,
+        set_idx in 0usize..3,
+        seed in 0u64..100_000,
+        walk in 5usize..60,
+    ) {
+        let q = chain(n);
+        let policy = Policy::ALL[policy_idx];
+        let set = match set_idx {
+            0 => MoveSet::for_policy(policy),
+            1 => MoveSet { commute: false, ..MoveSet::for_policy(policy) },
+            _ => MoveSet::site_selection_only(),
+        };
+        let mut rng = SimRng::seed_from_u64(seed);
+        let mut plan = random_plan(&q, policy, &mut rng);
+        let mut twin = rng.clone();
+        let mut moves = Vec::new();
+        let mut cand = random_plan(&chain(n + 3), Policy::HybridShipping, &mut rng.clone());
+        for _ in 0..walk {
+            let want = random_neighbor(&plan, &q, policy, set, &mut rng);
+            applicable_moves_into(&plan, policy, set, &mut moves);
+            prop_assert_eq!(&moves, &applicable_moves(&plan, policy, set));
+            let got = random_neighbor_into(&plan, &moves, &q, policy, &mut twin, &mut cand);
+            prop_assert_eq!(format!("{rng:?}"), format!("{twin:?}"));
+            match want {
+                Some((next, kind)) => {
+                    prop_assert_eq!(got, Some(kind));
+                    prop_assert_eq!(&cand, &next);
+                    plan = next;
+                }
+                None => prop_assert_eq!(got, None),
+            }
+        }
     }
 
     /// The arena never leaks: after any single move the plan has the

@@ -509,10 +509,10 @@ fn protocol_model_check(args: &Args) -> usize {
 
 /// Stage 5: bounded-exhaustive model check of the composed system —
 /// `--sessions` session machines over the shared admission queue,
-/// worker pool, and completion channel — then the same search without
-/// symmetry reduction, to measure (and record) how much the reduction
-/// shrinks the visited set. Under `--system`, gates the counts against
-/// and writes `BENCH_check.json`, the checker's perf-trajectory record.
+/// worker pool, and completion channel. Under `--system`, also runs the
+/// same search without symmetry reduction, to record how much the
+/// reduction shrinks the visited set, and gates the counts against
+/// `BENCH_check.json`, the checker's perf-trajectory record.
 fn system_model_check(args: &Args) -> usize {
     let mut checker = SystemChecker::default();
     checker.sessions = args.sessions;
@@ -542,8 +542,14 @@ fn system_model_check(args: &Args) -> usize {
         }
     }
 
+    // Only `--system` owns the record: the full sweeps run the model
+    // check at their own depth, which is not the recorded config.
+    if !args.system_only {
+        return failures;
+    }
+
     // The same search keyed on raw (uncanonicalized) states: the
-    // denominator of the symmetry-shrink figure.
+    // denominator of the recorded symmetry-shrink figure.
     let mut raw = checker;
     raw.symmetry = false;
     let (_, raw_stats) = raw.run(system_step);
@@ -558,11 +564,6 @@ fn system_model_check(args: &Args) -> usize {
     } else {
         0.0
     };
-    // Only `--system` owns the record: the full sweeps run the model
-    // check at their own depth, which is not the recorded config.
-    if !args.system_only {
-        return failures;
-    }
     match gate_and_write(
         "BENCH_check.json",
         "csqp-check --system",
