@@ -90,13 +90,6 @@ impl<'q> Estimator<'q> {
     pub fn tuples_int(&self, rels: RelSet) -> u64 {
         crate::num::sat_u64(self.tuples(rels).round())
     }
-
-    /// Selectivity applied when sub-results `left` and `right` are joined:
-    /// the product over crossing edges (1.0 for a Cartesian product).
-    pub fn join_selectivity(&self, left: RelSet, right: RelSet) -> f64 {
-        debug_assert!(left.is_disjoint(right));
-        self.query.cross_selectivity(left, right)
-    }
 }
 
 #[cfg(test)]
@@ -164,7 +157,6 @@ mod tests {
         let cross = set(&[0, 2]);
         assert!((est.tuples(cross) - 1e8).abs() < 1.0);
         assert!(est.pages(cross) > 2e6);
-        assert_eq!(est.join_selectivity(set(&[0]), set(&[2])), 1.0);
     }
 
     #[test]
@@ -174,14 +166,5 @@ mod tests {
         let est = Estimator::new(&q, &cfg);
         assert!((est.tuples(set(&[0])) - 1_000.0).abs() < 1e-9);
         assert!((est.tuples(set(&[0, 1])) - 1_000.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn join_selectivity_crossing_edges_only() {
-        let q = chain(4, 1e-4);
-        let cfg = SystemConfig::default();
-        let est = Estimator::new(&q, &cfg);
-        // Split {0,1} | {2,3}: only edge 1-2 crosses.
-        assert!((est.join_selectivity(set(&[0, 1]), set(&[2, 3])) - 1e-4).abs() < 1e-16);
     }
 }

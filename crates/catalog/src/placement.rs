@@ -97,20 +97,6 @@ impl Catalog {
         let pages = crate::num::sat_u64((self.cached_fraction(rel) * total_pages as f64).floor());
         pages.min(total_pages)
     }
-
-    /// Relations whose primary copy is on `server`.
-    pub fn relations_at(&self, server: SiteId) -> Vec<RelId> {
-        self.primary
-            .iter()
-            .filter(|(_, &s)| s == server)
-            .map(|(&r, _)| r)
-            .collect()
-    }
-
-    /// All placed relations with their servers, ordered by relation id.
-    pub fn placements(&self) -> impl Iterator<Item = (RelId, SiteId)> + '_ {
-        self.primary.iter().map(|(&r, &s)| (r, s))
-    }
 }
 
 #[cfg(test)]
@@ -125,7 +111,6 @@ mod tests {
         assert_eq!(c.primary_site(RelId(0)), SiteId::server(1));
         assert_eq!(c.primary_site(RelId(1)), SiteId::server(3));
         assert_eq!(c.try_primary_site(RelId(2)), None);
-        assert_eq!(c.relations_at(SiteId::server(3)), vec![RelId(1)]);
         assert_eq!(c.sites().count(), 4);
     }
 

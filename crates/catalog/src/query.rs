@@ -76,14 +76,6 @@ pub struct JoinEdge {
     pub selectivity: f64,
 }
 
-impl JoinEdge {
-    /// True if this edge connects `x` and `y` (in either order).
-    #[inline]
-    pub fn connects(&self, x: RelId, y: RelId) -> bool {
-        (self.a == x && self.b == y) || (self.a == y && self.b == x)
-    }
-}
-
 /// The logical query: relations, join edges, and optional per-relation
 /// selection predicates.
 ///
@@ -168,20 +160,6 @@ impl QuerySpec {
         })
     }
 
-    /// Product of the selectivities of all edges internal to `rels` *that
-    /// cross the `left`/`right` split* — the selectivity applied when the
-    /// two subresults are joined.
-    pub fn cross_selectivity(&self, left: RelSet, right: RelSet) -> f64 {
-        self.edges
-            .iter()
-            .filter(|e| {
-                (left.contains(e.a) && right.contains(e.b))
-                    || (left.contains(e.b) && right.contains(e.a))
-            })
-            .map(|e| e.selectivity)
-            .product()
-    }
-
     /// The tuple width shared by all relations, if uniform (the paper's
     /// benchmark always is; intermediate results are projected to it).
     pub fn uniform_tuple_bytes(&self) -> Option<u32> {
@@ -239,20 +217,6 @@ mod tests {
         assert!(q.joinable(r1, r2));
         assert!(!q.joinable(r0, r2), "R0-R2 is a Cartesian product");
         assert!(q.joinable(r0.union(r1), r2));
-    }
-
-    #[test]
-    fn cross_selectivity_multiplies_crossing_edges() {
-        let q = three_chain();
-        let left = RelSet::single(RelId(0)).union(RelSet::single(RelId(2)));
-        let right = RelSet::single(RelId(1));
-        // Both edges cross the split.
-        assert!((q.cross_selectivity(left, right) - 1e-8).abs() < 1e-20);
-        // No edge crosses -> product over empty set = 1 (Cartesian).
-        assert_eq!(
-            q.cross_selectivity(RelSet::single(RelId(0)), RelSet::single(RelId(2))),
-            1.0
-        );
     }
 
     #[test]

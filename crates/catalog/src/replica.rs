@@ -137,11 +137,6 @@ impl CatalogCoordinator {
         &self.current
     }
 
-    /// Number of recorded mutations (== current epoch).
-    pub fn log_len(&self) -> usize {
-        self.log.len()
-    }
-
     /// Publish a placement change; returns the new epoch.
     pub fn place(&mut self, rel: RelId, site: SiteId) -> CatalogEpoch {
         self.publish(CatalogDelta::Place { rel, site })
@@ -370,15 +365,6 @@ impl ReplicatedCatalog {
     pub fn lag(&self, site: SiteId) -> Option<u64> {
         self.replica(site).map(|r| r.lag(self.coordinator.epoch()))
     }
-
-    /// True when `site`'s replica is within the staleness bound and its
-    /// cache state is usable — i.e. it may price plans without taking
-    /// the degradation path.
-    pub fn within_bound(&self, site: SiteId) -> bool {
-        self.replica(site).is_some_and(|r| {
-            !r.is_poisoned() && r.lag(self.coordinator.epoch()) <= self.max_epoch_lag
-        })
-    }
 }
 
 /// What a served query did about its replica's staleness, in a recorded
@@ -456,7 +442,6 @@ mod tests {
         let e1 = coord.set_cached_fraction(RelId(0), 0.5);
         let e2 = coord.place(RelId(1), SiteId::server(1));
         assert_eq!((e1, e2), (CatalogEpoch(1), CatalogEpoch(2)));
-        assert_eq!(coord.log_len(), 2);
         assert_eq!(coord.catalog().cached_fraction(RelId(0)), 0.5);
         assert_eq!(
             coord.catalog().try_primary_site(RelId(1)),
@@ -499,31 +484,27 @@ mod tests {
         );
         // Poison marks cache state unusable; a full refresh clears it.
         rc.replica_mut(s1).expect("known site").poison();
-        assert!(!rc.within_bound(s1));
+        assert!(rc.replica(s1).is_some_and(CatalogReplica::is_poisoned));
         rc.set_cached_fraction(RelId(1), 0.25);
         rc.propagate(s1);
-        assert!(rc.within_bound(s1));
+        assert!(!rc.replica(s1).is_some_and(CatalogReplica::is_poisoned));
     }
 
     #[test]
-    fn lag_and_bound_track_the_coordinator() {
+    fn lag_tracks_the_coordinator() {
         let mut rc = ReplicatedCatalog::new(base(), 1);
         let s2 = SiteId::server(2);
         assert_eq!(rc.lag(s2), Some(0));
-        assert!(rc.within_bound(s2));
         rc.set_cached_fraction(RelId(0), 0.5);
         assert_eq!(rc.lag(s2), Some(1));
-        assert!(rc.within_bound(s2), "lag == bound is still within");
         rc.set_cached_fraction(RelId(0), 0.75);
         assert_eq!(rc.lag(s2), Some(2));
-        assert!(!rc.within_bound(s2), "lag > bound must degrade");
         // A torn delivery (one epoch short of current) pulls it back in.
         let torn = rc.coordinator().epoch().0 - 1;
         rc.deliver_at(s2, CatalogEpoch(torn))
             .expect("known site")
             .expect("newer delivery applies");
         assert_eq!(rc.lag(s2), Some(1));
-        assert!(rc.within_bound(s2));
     }
 
     #[test]
@@ -534,6 +515,5 @@ mod tests {
         assert!(rc.propagate(SiteId::server(9)).is_none());
         assert!(rc.deliver_at(SiteId::CLIENT, CatalogEpoch(0)).is_none());
         assert_eq!(rc.lag(SiteId::server(3)), None);
-        assert!(!rc.within_bound(SiteId::CLIENT));
     }
 }

@@ -41,12 +41,6 @@ impl Relation {
         }
     }
 
-    /// The same relation with the join attribute declared a unary key.
-    pub fn with_key(mut self) -> Relation {
-        self.key = true;
-        self
-    }
-
     /// Whole tuples fitting in one page of `page_size` bytes.
     ///
     /// Tuples never span pages (the paper's page counts imply this).
@@ -131,11 +125,7 @@ mod tests {
     }
 
     #[test]
-    fn key_declaration_defaults_off_and_survives_with_key() {
-        let r = Relation::benchmark(RelId(0), "A");
-        assert!(!r.key);
-        let k = r.with_key();
-        assert!(k.key);
-        assert_eq!(k.tuples, 10_000, "with_key changes nothing else");
+    fn key_declaration_defaults_off() {
+        assert!(!Relation::benchmark(RelId(0), "A").key);
     }
 }

@@ -184,7 +184,7 @@ mod tests {
             Annotation::Client,
         );
         p.validate_structure(&q).unwrap();
-        assert_eq!(p.select_nodes().len(), 1);
+        assert_eq!(p.render_compact().matches("(select").count(), 1);
         assert!(p.render_compact().contains("(select R1:prod (scan R1:cl))"));
     }
 

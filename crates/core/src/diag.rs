@@ -173,6 +173,9 @@ pub enum DiagCode {
     /// justified allowlist: truncation must be explicit (checked or
     /// saturating helpers), never silent.
     NumericTruncation,
+    /// A `pub fn` whose name no non-test source mentions, outside the
+    /// justified allowlist: public API that only tests run.
+    DeadPub,
 }
 
 impl DiagCode {
@@ -227,6 +230,7 @@ impl DiagCode {
             DiagCode::CatalogMutation => "catalog-mutation",
             DiagCode::RawSyscall => "raw-syscall",
             DiagCode::NumericTruncation => "numeric-truncation",
+            DiagCode::DeadPub => "dead-pub",
         }
     }
 }

@@ -158,7 +158,7 @@ impl Plan {
     }
 
     /// Number of nodes in the arena (including any unreachable ones left
-    /// by tree surgery; see [`Plan::compact`]).
+    /// by tree surgery).
     #[inline]
     pub fn arena_len(&self) -> usize {
         self.nodes.len()
@@ -231,14 +231,6 @@ impl Plan {
             .collect()
     }
 
-    /// Ids of all reachable select nodes.
-    pub fn select_nodes(&self) -> Vec<NodeId> {
-        self.postorder()
-            .into_iter()
-            .filter(|&id| matches!(self.node(id).op, LogicalOp::Select { .. }))
-            .collect()
-    }
-
     /// The set of base relations under `id`.
     pub fn rel_set(&self, id: NodeId) -> RelSet {
         let n = self.node(id);
@@ -253,30 +245,6 @@ impl Plan {
             _ => n
                 .child_ids()
                 .fold(RelSet::EMPTY, |s, c| s.union(self.rel_set(c))),
-        }
-    }
-
-    /// Drop unreachable arena entries, renumbering node ids.
-    pub fn compact(&self) -> Plan {
-        let order = self.postorder();
-        let mut remap = vec![None; self.nodes.len()];
-        for (new, old) in order.iter().enumerate() {
-            remap[old.index()] = Some(NodeId(new as u32));
-        }
-        let mut nodes = Vec::with_capacity(order.len());
-        for old in &order {
-            let mut n = self.node(*old).clone();
-            for c in n.children.iter_mut() {
-                // Children of reachable nodes are reachable, so the remap
-                // entry is always present.
-                *c = c.and_then(|cid| remap[cid.index()]);
-            }
-            nodes.push(n);
-        }
-        // Postorder visits the root last, so it lands in the final slot.
-        Plan {
-            root: NodeId((order.len() - 1) as u32),
-            nodes,
         }
     }
 
@@ -755,22 +723,6 @@ mod tests {
             assert_eq!(p, join);
             assert_eq!(s, slot);
         }
-    }
-
-    #[test]
-    fn compact_drops_garbage() {
-        let (q, mut plan) = two_way_plan();
-        // Push an unreachable node.
-        plan.push(PlanNode {
-            op: LogicalOp::Scan { rel: RelId(0) },
-            ann: Annotation::Client,
-            children: [None, None],
-        });
-        assert_eq!(plan.arena_len(), 5);
-        let c = plan.compact();
-        assert_eq!(c.arena_len(), 4);
-        c.validate_structure(&q).unwrap();
-        assert_eq!(c.render_compact(), plan.render_compact());
     }
 
     #[test]

@@ -87,6 +87,7 @@ mod tests {
     use super::*;
     use crate::annotation::Annotation;
     use crate::builder::JoinTree;
+    use crate::plan::LogicalOp;
     use csqp_catalog::{JoinEdge, QuerySpec, RelId, Relation};
 
     fn chain(n: u32) -> QuerySpec {
@@ -148,7 +149,11 @@ mod tests {
         assert!(is_well_formed(&p));
         // Flip the select to consumer: join[inner] -> select[consumer] is
         // now a cycle.
-        let sel = p.select_nodes()[0];
+        let sel = p
+            .postorder()
+            .into_iter()
+            .find(|&id| matches!(p.node(id).op, LogicalOp::Select { .. }))
+            .unwrap();
         p.node_mut(sel).ann = Annotation::Consumer;
         assert!(!is_well_formed(&p));
     }

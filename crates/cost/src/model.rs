@@ -197,11 +197,6 @@ impl<'a> CostModel<'a> {
         self.node_cost(plan, sites, slab, plan.root())
     }
 
-    /// Evaluate a bound plan under an objective (lower is better).
-    pub fn evaluate_bound(&self, bound: &BoundPlan, objective: Objective) -> f64 {
-        self.cost_bound(bound).get(objective)
-    }
-
     /// Bind `plan` and evaluate it under an objective; `None` when
     /// binding fails.
     pub fn evaluate_plan(&self, plan: &Plan, objective: Objective) -> Option<f64> {
@@ -563,10 +558,10 @@ mod tests {
         let model = CostModel::new(&cfg, &cat, &q, SiteId::CLIENT);
 
         let qs = bind_plan(&qs_plan(&q), &cat);
-        assert_eq!(model.evaluate_bound(&qs, Objective::Communication), 250.0);
+        assert_eq!(model.cost_bound(&qs).get(Objective::Communication), 250.0);
 
         let ds = bind_plan(&ds_plan(&q), &cat);
-        assert_eq!(model.evaluate_bound(&ds, Objective::Communication), 500.0);
+        assert_eq!(model.cost_bound(&ds).get(Objective::Communication), 500.0);
     }
 
     #[test]
@@ -578,10 +573,10 @@ mod tests {
         cat.set_cached_fraction(RelId(1), 0.5);
         let model = CostModel::new(&cfg, &cat, &q, SiteId::CLIENT);
         let ds = bind_plan(&ds_plan(&q), &cat);
-        assert_eq!(model.evaluate_bound(&ds, Objective::Communication), 250.0);
+        assert_eq!(model.cost_bound(&ds).get(Objective::Communication), 250.0);
         let qs = bind_plan(&qs_plan(&q), &cat);
         assert_eq!(
-            model.evaluate_bound(&qs, Objective::Communication),
+            model.cost_bound(&qs).get(Objective::Communication),
             250.0,
             "QS ignores the cache"
         );
@@ -630,8 +625,8 @@ mod tests {
         let model = CostModel::new(&cfg, &cat, &q, SiteId::CLIENT);
         for plan in [ds_plan(&q), qs_plan(&q)] {
             let b = bind_plan(&plan, &cat);
-            let rt = model.evaluate_bound(&b, Objective::ResponseTime);
-            let tc = model.evaluate_bound(&b, Objective::TotalCost);
+            let rt = model.cost_bound(&b).get(Objective::ResponseTime);
+            let tc = model.cost_bound(&b).get(Objective::TotalCost);
             assert!(rt <= tc + 1e-12, "rt {rt} > total {tc} for {plan}");
             assert!(rt > 0.0);
         }
@@ -647,8 +642,8 @@ mod tests {
             CostModel::new(&cfg, &cat, &q, SiteId::CLIENT).with_disk_load(SiteId::server(1), 0.75);
 
         let qs = bind_plan(&qs_plan(&q), &cat);
-        let rt0 = base.evaluate_bound(&qs, Objective::ResponseTime);
-        let rt1 = loaded.evaluate_bound(&qs, Objective::ResponseTime);
+        let rt0 = base.cost_bound(&qs).get(Objective::ResponseTime);
+        let rt1 = loaded.cost_bound(&qs).get(Objective::ResponseTime);
         assert!(
             rt1 > 2.0 * rt0,
             "QS should blow up under load: {rt0} -> {rt1}"
@@ -662,8 +657,8 @@ mod tests {
         let loaded_c = CostModel::new(&cfg, &cat_cached, &q, SiteId::CLIENT)
             .with_disk_load(SiteId::server(1), 0.75);
         let ds = bind_plan(&ds_plan(&q), &cat_cached);
-        let a = base_c.evaluate_bound(&ds, Objective::ResponseTime);
-        let b = loaded_c.evaluate_bound(&ds, Objective::ResponseTime);
+        let a = base_c.cost_bound(&ds).get(Objective::ResponseTime);
+        let b = loaded_c.cost_bound(&ds).get(Objective::ResponseTime);
         assert!((a - b).abs() < 1e-12, "fully-cached DS unaffected by load");
     }
 

@@ -74,8 +74,8 @@ proptest! {
         let model = CostModel::new(&sys, &cat, &q, SiteId::CLIENT);
         let plan = seeded_plan(&q, seed);
         let b = bind(&plan, BindContext { catalog: &cat, query_site: SiteId::CLIENT }).unwrap();
-        let rt = model.evaluate_bound(&b, Objective::ResponseTime);
-        let tc = model.evaluate_bound(&b, Objective::TotalCost);
+        let rt = model.cost_bound(&b).get(Objective::ResponseTime);
+        let tc = model.cost_bound(&b).get(Objective::TotalCost);
         prop_assert!(rt > 0.0 && tc > 0.0);
         prop_assert!(rt <= tc + 1e-9, "rt {rt} > total {tc} for {plan}");
     }
@@ -92,12 +92,12 @@ proptest! {
         let loaded = CostModel::new(&sys, &cat, &q, SiteId::CLIENT)
             .with_disk_load(SiteId::server(1), rho);
         prop_assert!(
-            loaded.evaluate_bound(&b, Objective::ResponseTime) + 1e-12
-                >= base.evaluate_bound(&b, Objective::ResponseTime)
+            loaded.cost_bound(&b).get(Objective::ResponseTime) + 1e-12
+                >= base.cost_bound(&b).get(Objective::ResponseTime)
         );
         prop_assert!(
-            loaded.evaluate_bound(&b, Objective::TotalCost) + 1e-12
-                >= base.evaluate_bound(&b, Objective::TotalCost)
+            loaded.cost_bound(&b).get(Objective::TotalCost) + 1e-12
+                >= base.cost_bound(&b).get(Objective::TotalCost)
         );
     }
 
@@ -120,7 +120,7 @@ proptest! {
             let model = CostModel::new(&sys, &cat, &q, SiteId::CLIENT);
             let b = bind(&plan, BindContext { catalog: &cat, query_site: SiteId::CLIENT })
                 .unwrap();
-            let comm = model.evaluate_bound(&b, Objective::Communication);
+            let comm = model.cost_bound(&b).get(Objective::Communication);
             prop_assert!(comm <= last + 1e-9, "caching increased comm: {last} -> {comm}");
             last = comm;
         }
@@ -145,7 +145,7 @@ proptest! {
             let model = CostModel::new(&sys, &cat, &q, SiteId::CLIENT);
             let b = bind(&plan, BindContext { catalog: &cat, query_site: SiteId::CLIENT })
                 .unwrap();
-            vals.push(model.evaluate_bound(&b, Objective::Communication));
+            vals.push(model.cost_bound(&b).get(Objective::Communication));
         }
         prop_assert!((vals[0] - vals[1]).abs() < 1e-9);
         prop_assert!((vals[0] - (250 * n as u64) as f64).abs() < 1e-9);

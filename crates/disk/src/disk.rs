@@ -66,14 +66,6 @@ pub struct DiskStats {
     pub busy: SimDuration,
 }
 
-impl DiskStats {
-    /// Mean service time per request.
-    pub fn mean_service(&self) -> Option<SimDuration> {
-        let n = self.reads + self.writes;
-        (n > 0).then(|| self.busy / n)
-    }
-}
-
 /// The disk resource.
 #[derive(Debug)]
 pub struct Disk<T> {
@@ -142,11 +134,6 @@ impl<T> Disk<T> {
             .pop(self.head_cyl)
             .map(|(_, req)| now + self.dispatch(req));
         (done, next)
-    }
-
-    /// Number of queued requests (excluding the one in service).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 
     /// True when nothing is in service or queued.
@@ -370,7 +357,6 @@ mod tests {
         assert!(d.submit(now, read(40_000, 3)).is_none());
         assert!(d.submit(now, read(10_000, 1)).is_none());
         assert!(d.submit(now, read(20_000, 2)).is_none());
-        assert_eq!(d.queue_len(), 3);
         // Head at cylinder 0 sweeping up: serve 1, 2, 3 in cylinder order.
         let mut order = Vec::new();
         let (tok, mut next) = d.finish_current(fin);
@@ -402,12 +388,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_mean_service() {
+    fn stats_count_busy_time() {
         let mut d = disk();
         let (fin, _) = serve(&mut d, SimTime::ZERO, read(0, 0));
         let s = d.stats();
         assert_eq!(s.reads, 1);
-        assert_eq!(s.mean_service().unwrap(), fin.since(SimTime::ZERO));
+        assert_eq!(s.busy, fin.since(SimTime::ZERO));
         assert!((d.utilization(fin) - 1.0).abs() < 1e-9);
     }
 

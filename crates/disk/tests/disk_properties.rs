@@ -65,7 +65,7 @@ proptest! {
         let (_, end, d) = run_batch(&reqs);
         let stats = d.stats();
         prop_assert_eq!(stats.busy, end.since(SimTime::ZERO));
-        let mean = stats.mean_service().unwrap();
+        let mean = stats.busy / (stats.reads + stats.writes);
         prop_assert!(mean >= SimDuration::from_micros(500), "mean {mean}");
         prop_assert!(mean <= SimDuration::from_millis(30), "mean {mean}");
     }

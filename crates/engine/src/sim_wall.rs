@@ -20,6 +20,8 @@
 //! thousand distinct CPU bursts (the CPU service-time path). The
 //! goldens were recorded before the hot-path changes landed.
 
+#![cfg(test)]
+
 use csqp_catalog::{BufAlloc, Catalog, QuerySpec, RelId, SiteId, SystemConfig};
 use csqp_core::{bind, Annotation, BindContext, BoundPlan, JoinTree, LogicalOp};
 use csqp_simkernel::rng::SimRng;

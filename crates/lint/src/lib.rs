@@ -51,6 +51,13 @@
 //!   and staleness bounds cannot be enforced. Construction-time call
 //!   sites (tests, benches, workload generators, pre-serving setup)
 //!   carry entries saying so.
+//! * **dead-pub** — every `pub fn` in non-test source (`crates/*/src`,
+//!   `src/`, `examples/`, `csqp-benchmark/src`, minus `#[cfg(test)]`
+//!   items and `#![cfg(test)]` files) must be named somewhere else in
+//!   non-test source; a `use` does not count. A public function that
+//!   only tests call is API nobody runs. Entries naming the function
+//!   and its reason (a test oracle, say) keep the few that stay on
+//!   purpose (see [`dead_pub`]).
 //!
 //! Allowlist hygiene is itself checked: an entry that matches nothing,
 //! or carries no justification, is reported as **stale-allow** so the
@@ -62,8 +69,10 @@
 //! [`lint_workspace`] over every `.rs` file outside `target/`,
 //! `vendor/`, and `tests/fixtures/`.
 
+pub mod dead_pub;
 pub mod scan;
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::Path;
@@ -71,6 +80,7 @@ use std::path::Path;
 use csqp_core::diag::{DiagCode, Diagnostic};
 use csqp_verify::Report;
 
+use dead_pub::{is_non_test_source, FileUse};
 use scan::{find_token, has_token, is_ident, strip};
 
 /// The rule dimensions an [`Allow`] entry can waive.
@@ -94,6 +104,8 @@ pub enum RuleKind {
     NumericTruncation,
     /// An `extern` block: a raw C-ABI syscall binding.
     ExternSyscall,
+    /// The named `pub fn` has no caller in non-test source.
+    DeadPub(&'static str),
 }
 
 impl RuleKind {
@@ -107,6 +119,7 @@ impl RuleKind {
             RuleKind::CatalogMutation => DiagCode::CatalogMutation,
             RuleKind::NumericTruncation => DiagCode::NumericTruncation,
             RuleKind::ExternSyscall => DiagCode::RawSyscall,
+            RuleKind::DeadPub(_) => DiagCode::DeadPub,
         }
     }
 
@@ -120,12 +133,14 @@ impl RuleKind {
             RuleKind::CatalogMutation => "catalog-mutation",
             RuleKind::NumericTruncation => "numeric-truncation",
             RuleKind::ExternSyscall => "raw-syscall",
+            RuleKind::DeadPub(_) => "dead-pub",
         }
     }
 }
 
 /// One justified exemption: `path` (workspace-relative, `/`-separated)
-/// may violate `rule` because `why`.
+/// may violate `rule` because `why`. A `dead-pub` entry names the
+/// function in its rule and `path` is the file defining it.
 #[derive(Clone, Copy, Debug)]
 pub struct Allow {
     /// Workspace-relative path of the exempted file.
@@ -184,12 +199,6 @@ pub const ALLOWLIST: &[Allow] = &[
         rule: RuleKind::WallClock,
         why: "test-only perf guard bounding catalog build time; a ceiling on \
               runtime, never an experiment result",
-    },
-    Allow {
-        path: "crates/bench/src/harness.rs",
-        rule: RuleKind::WallClock,
-        why: "the bench harness exists to measure wall time; Instant::now is \
-              the product, and means never feed experiment digests",
     },
     Allow {
         path: "crates/bench/src/bin/memo_bench.rs",
@@ -458,6 +467,43 @@ pub const ALLOWLIST: &[Allow] = &[
         why: "integration tests build the placements the paper's claims are \
               checked against",
     },
+    // ---- dead-pub: public functions only tests call, on purpose -------
+    // Each reason starts with its kind: a "test oracle" is a slower exact
+    // answer tests judge the production path against; a "test probe"
+    // exposes private state to a test in another crate; an
+    // "integration-test helper" serves a tests/ file and must live where
+    // it is.
+    Allow {
+        path: "crates/optimizer/src/exhaustive.rs",
+        rule: RuleKind::DeadPub("exhaustive_optimum"),
+        why: "test oracle: exhaustive enumeration the randomized two-phase \
+              search is checked against on small queries",
+    },
+    Allow {
+        path: "crates/optimizer/src/dp.rs",
+        rule: RuleKind::DeadPub("dp_join_order"),
+        why: "test oracle: System-R DP join order the randomized 2-step \
+              compile is held within a factor of on HiSel 10-way",
+    },
+    Allow {
+        path: "crates/cost/src/model.rs",
+        rule: RuleKind::DeadPub("memoized_sizes"),
+        why: "test probe: the optimizer's cost wall checks every memoized \
+              size bit for bit against a direct Estimator read",
+    },
+    Allow {
+        path: "crates/cost/src/model.rs",
+        rule: RuleKind::DeadPub("memoized_hash_plans"),
+        why: "test probe: the optimizer's cost wall checks every memoized \
+              hash layout against a direct hybrid_hash_plan call",
+    },
+    Allow {
+        path: "crates/net/src/poll.rs",
+        rule: RuleKind::DeadPub("raise_nofile_limit"),
+        why: "integration-test helper that must stay in the audited syscall \
+              module: the serve scale test needs RLIMIT_NOFILE raised, and \
+              extern bindings live only in csqp_net::poll",
+    },
 ];
 
 const WALL_CLOCK_PATTERNS: &[&str] = &["Instant::now", "SystemTime::now", "thread::sleep"];
@@ -507,6 +553,8 @@ struct AllowState {
 /// run, so [`Linter::finish`] can report entries that matched nothing.
 pub struct Linter {
     allows: Vec<AllowState>,
+    /// What each non-test file defines and calls, for `dead-pub`.
+    uses: Vec<(String, FileUse)>,
 }
 
 impl Default for Linter {
@@ -528,6 +576,7 @@ impl Linter {
                 .iter()
                 .map(|&allow| AllowState { allow, hit: false })
                 .collect(),
+            uses: Vec::new(),
         }
     }
 
@@ -670,21 +719,64 @@ impl Linter {
             }
         }
         out.extend(wire_coverage(rel, &stripped));
+        if is_non_test_source(rel) {
+            if let Some(uses) = dead_pub::scan(&stripped) {
+                self.uses.push((rel.to_string(), uses));
+            }
+        }
         out
     }
 
-    /// Report allowlist entries that never matched, or carry no
-    /// justification. Call once, after every file has been linted.
-    pub fn finish(self) -> Vec<Diagnostic> {
+    /// The `dead-pub` findings over every file linted so far: `pub fn`s
+    /// whose names no non-test code mentions.
+    fn dead_pubs(&mut self) -> Vec<Diagnostic> {
+        let uses = std::mem::take(&mut self.uses);
+        let called: BTreeSet<&str> = uses
+            .iter()
+            .flat_map(|(_, u)| u.mentions.iter().map(String::as_str))
+            .collect();
         let mut out = Vec::new();
+        for (rel, u) in &uses {
+            for (line, name) in &u.defs {
+                if called.contains(name.as_str()) {
+                    continue;
+                }
+                let exempt = self.allows.iter_mut().any(|st| {
+                    let hit = st.allow.path == rel.as_str()
+                        && matches!(st.allow.rule, RuleKind::DeadPub(f) if f == name);
+                    st.hit |= hit;
+                    hit
+                });
+                if !exempt {
+                    out.push(at(
+                        DiagCode::DeadPub,
+                        rel,
+                        *line,
+                        format!(
+                            "`pub fn {name}` has no caller outside tests; delete it, \
+                             narrow it to the tests that use it, or justify it"
+                        ),
+                    ));
+                }
+            }
+        }
+        out
+    }
+
+    /// Report `dead-pub` findings, then allowlist entries that never
+    /// matched or carry no justification. Call once, after every file
+    /// has been linted.
+    pub fn finish(mut self) -> Vec<Diagnostic> {
+        let mut out = self.dead_pubs();
         for st in self.allows {
+            let rule = match st.allow.rule {
+                RuleKind::DeadPub(name) => format!("dead-pub` for `{name}"),
+                rule => rule.name().to_string(),
+            };
             if st.allow.why.trim().is_empty() {
                 let mut d = Diagnostic::new(
                     DiagCode::StaleAllow,
-                    format!(
-                        "allowlist entry for rule `{}` has no justification",
-                        st.allow.rule.name()
-                    ),
+                    format!("allowlist entry for rule `{rule}` has no justification"),
                 );
                 d.path = Some(st.allow.path.to_string());
                 out.push(d);
@@ -692,10 +784,7 @@ impl Linter {
             if !st.hit {
                 let mut d = Diagnostic::new(
                     DiagCode::StaleAllow,
-                    format!(
-                        "allowlist entry for rule `{}` matched nothing; delete it",
-                        st.allow.rule.name()
-                    ),
+                    format!("allowlist entry for rule `{rule}` matched nothing; delete it"),
                 );
                 d.path = Some(st.allow.path.to_string());
                 out.push(d);

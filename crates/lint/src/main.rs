@@ -8,7 +8,9 @@
 //! Scans every `.rs` file under the workspace root (excluding `target/`,
 //! `vendor/`, and `tests/fixtures/`) for the rules documented in
 //! [`csqp_lint`]: wall-clock-use, unseeded-rng, hash-iter-order,
-//! unbounded-channel, wire-code-coverage, and stale-allow. The root
+//! unbounded-channel, wire-code-coverage, raw-syscall,
+//! numeric-truncation, catalog-mutation, dead-pub, and stale-allow. The
+//! root
 //! defaults to the workspace this binary was built from.
 
 use std::path::PathBuf;

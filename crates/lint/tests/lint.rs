@@ -7,7 +7,7 @@
 
 use std::path::{Path, PathBuf};
 
-use csqp_lint::{lint_workspace, Linter, ALLOWLIST};
+use csqp_lint::{lint_workspace, Allow, Linter, RuleKind, ALLOWLIST};
 use csqp_verify::DiagCode;
 
 fn fixture(name: &str) -> String {
@@ -94,6 +94,76 @@ fn wire_code_fixture_trips_only_wire_code_coverage() {
     );
 }
 
+/// Lint the `dead-pub` fixture as `crates/fixture/src/lib.rs` beside
+/// its callers elsewhere; return the names flagged and the stale-allow
+/// count.
+fn dead_pub_run(allows: &[Allow]) -> (Vec<String>, usize) {
+    let mut l = Linter::with_allows(allows);
+    for (rel, src) in [
+        ("crates/fixture/src/lib.rs", fixture("dead_pub.rs")),
+        (
+            "crates/fixture/tests/it.rs",
+            "called_from_integration_tests();".into(),
+        ),
+        (
+            "crates/fixture/src/wall.rs",
+            "#![cfg(test)] called_from_a_test_module_file();".into(),
+        ),
+        (
+            "crates/other/src/lib.rs",
+            "pub use f::only_re_exported; f::called_from_another_crate();".into(),
+        ),
+        (
+            "csqp-benchmark/src/main.rs",
+            "f::called_from_the_benchmark();".into(),
+        ),
+    ] {
+        assert!(l.lint_source(rel, &src).is_empty(), "{rel}");
+    }
+    let ds = l.finish();
+    let stale = ds.iter().filter(|d| d.code == DiagCode::StaleAllow).count();
+    let dead: Vec<String> = ds
+        .iter()
+        .filter(|d| d.code == DiagCode::DeadPub)
+        .map(|d| d.detail.split('`').nth(1).unwrap().replace("pub fn ", ""))
+        .collect();
+    assert_eq!(
+        dead.len() + stale,
+        ds.len(),
+        "only dead-pub findings: {ds:?}"
+    );
+    (dead, stale)
+}
+
+#[test]
+fn dead_pub_fixture_trips_only_dead_pub() {
+    let flagged = [
+        "never_called",
+        "called_from_unit_tests",
+        "called_from_integration_tests",
+        "called_from_a_test_module_file",
+        "only_re_exported",
+        "mentioned_in_text",
+    ];
+    assert_eq!(dead_pub_run(&[]), (flagged.map(String::from).to_vec(), 0));
+
+    // An entry naming the function and a reason waives it; one with an
+    // empty reason, or one matching no finding, is stale.
+    let allow = |name, why| Allow {
+        path: "crates/fixture/src/lib.rs",
+        rule: RuleKind::DeadPub(name),
+        why,
+    };
+    let allows = [
+        allow("never_called", "test oracle"),
+        allow("mentioned_in_text", " "),
+        allow("called_in_this_file", "test oracle"),
+    ];
+    let (dead, stale) = dead_pub_run(&allows);
+    assert_eq!(dead, flagged[1..5]);
+    assert_eq!(stale, 2, "the bare reason and the entry matching nothing");
+}
+
 #[test]
 fn diagnostics_carry_file_and_line_anchors() {
     let mut l = Linter::with_allows(&[]);
@@ -140,7 +210,10 @@ fn memo_crate_is_clean_with_no_exemptions() {
         );
     }
     assert!(scanned >= 4, "found the memo sources ({scanned} files)");
-    assert!(linter.finish().is_empty());
+    // `finish` adds the cross-file dead-pub findings, which only the whole
+    // workspace can settle (`workspace_is_lint_clean`); with no allows
+    // nothing else can come out of it.
+    assert!(linter.finish().iter().all(|d| d.code == DiagCode::DeadPub));
 }
 
 #[test]

@@ -178,8 +178,8 @@ impl Preimage {
     /// Encode a plan structurally: reachable nodes in postorder, ids
     /// remapped to postorder positions. Unreachable arena garbage left by
     /// optimizer tree surgery does not perturb the fingerprint, and two
-    /// plans encode identically iff they are structurally identical after
-    /// [`Plan::compact`].
+    /// plans encode identically iff their reachable nodes are structurally
+    /// identical.
     pub fn push_plan(&mut self, plan: &Plan) {
         self.section("plan");
         let order = plan.postorder();

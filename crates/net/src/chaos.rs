@@ -69,20 +69,6 @@ impl QueryFault {
         QueryFault::DisconnectAfterSubmit,
     ];
 
-    /// True when the server receives a complete, decodable-or-not frame
-    /// and is therefore expected to produce a reply frame (RESULT or a
-    /// typed ERROR) on a still-open stream.
-    pub fn expects_reply(self) -> bool {
-        matches!(
-            self,
-            QueryFault::None
-                | QueryFault::CorruptFrame
-                | QueryFault::ShortWrites
-                | QueryFault::PauseBeforeSend
-                | QueryFault::SlowConsume
-        )
-    }
-
     /// True when the fault ends the connection (the client closes the
     /// socket as part of the injection).
     pub fn drops_connection(self) -> bool {
@@ -380,11 +366,6 @@ impl<S> FaultyStream<S> {
         FaultyStream { inner, pacing }
     }
 
-    /// The wrapped stream.
-    pub fn get_ref(&self) -> &S {
-        &self.inner
-    }
-
     /// Unwrap.
     pub fn into_inner(self) -> S {
         self.inner
@@ -554,7 +535,6 @@ mod tests {
         let seen: std::collections::HashSet<_> = plan.schedule(0, 256).into_iter().collect();
         assert!(seen.contains(&QueryFault::DisconnectAfterSubmit));
         assert!(QueryFault::DisconnectAfterSubmit.drops_connection());
-        assert!(!QueryFault::DisconnectAfterSubmit.expects_reply());
     }
 
     #[test]
@@ -590,8 +570,8 @@ mod tests {
         );
         assert_eq!(s.write(&[0u8; 10]).unwrap(), 3);
         s.write_all(&[1u8; 10]).unwrap();
-        assert_eq!(s.get_ref().len(), 13);
         let inner = s.into_inner();
+        assert_eq!(inner.len(), 13);
         assert_eq!(&inner[3..], &[1u8; 10]);
     }
 }

@@ -124,11 +124,6 @@ impl PollFd {
     pub fn error(&self) -> bool {
         self.revents & (POLLERR | POLLNVAL) != 0
     }
-
-    /// True when the peer hung up its end.
-    pub fn hangup(&self) -> bool {
-        self.revents & POLLHUP != 0
-    }
 }
 
 // `poll(2)` from the C library the standard library already links. The
@@ -216,11 +211,6 @@ impl ReadyEvent {
     /// connection should be torn down.
     pub fn error(&self) -> bool {
         self.revents & (POLLERR | POLLNVAL) != 0
-    }
-
-    /// True when the peer hung up its end.
-    pub fn hangup(&self) -> bool {
-        self.revents & POLLHUP != 0
     }
 }
 
@@ -750,7 +740,7 @@ mod tests {
             .wait(Duration::from_secs(5), &mut events)
             .expect("wait");
         assert_eq!(n, 1, "{name}: hangup must be reported unregistered");
-        assert!(events[0].hangup() || events[0].readable());
+        assert!(events[0].readable(), "{name}: hangup counts as readable");
 
         // After `deregister`, an open and readable descriptor goes silent.
         let mut reactor = new().expect("reactor");

@@ -7,13 +7,15 @@
 //! the search rests on those values, so this wall pins them bit for bit:
 //!
 //! * a seeded property compares `eval` with the two-pass formula it
-//!   replaced (two independent binds and `evaluate_bound` passes on a
+//!   replaced (two independent binds and `cost_bound` passes on a
 //!   model of its own) over random plans, random walks and unbindable
 //!   plans, for every policy × objective × load × 1–4 servers, then
 //!   checks each memo entry against a direct estimator or planner read;
 //! * a golden table pins evaluation counts, costs and plans of full
 //!   searches and site selections across the same grid, recorded while
 //!   `eval` still bound and costed every candidate twice.
+
+#![cfg(test)]
 
 use csqp_catalog::{
     hybrid_hash_plan, join_memory, sat_u64, Catalog, Estimator, JoinEdge, QuerySpec, RelId,
@@ -99,8 +101,8 @@ fn reference_eval(
         )
         .ok()
     };
-    let primary = model.evaluate_bound(&bound()?, objective);
-    let total = || Some(model.evaluate_bound(&bound()?, Objective::TotalCost));
+    let primary = model.cost_bound(&bound()?).get(objective);
+    let total = || Some(model.cost_bound(&bound()?).get(Objective::TotalCost));
     Some(match objective {
         Objective::Communication => primary + 1e-2 * total()?,
         Objective::ResponseTime => primary + 1e-3 * total()?,

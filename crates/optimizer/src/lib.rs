@@ -14,7 +14,8 @@
 //!   move set enabled/disabled/restricted per policy exactly as §3.1.1
 //!   describes;
 //! * [`dp`] — the System-R-style [S+79] dynamic-programming join-order
-//!   optimizer §5 offers as the alternative compile-time strategy;
+//!   optimizer §5 offers as the alternative compile-time strategy, kept
+//!   as the oracle the randomized compile is tested against;
 //! * [`exhaustive`] — ground-truth enumeration for small queries, used
 //!   to validate how close the randomized search gets to optimal;
 //! * [`twostep`] — §5's optimization strategies for pre-compiled queries:
@@ -35,12 +36,8 @@ pub mod twostep;
 #[cfg(test)]
 mod cost_wall;
 
-pub use dp::dp_join_order;
-pub use exhaustive::exhaustive_optimum;
 pub use moves::MoveSet;
-pub use moves::{applicable_moves, applicable_moves_into, apply_move, Move, MoveKind};
+pub use moves::{applicable_moves, applicable_moves_into, Move, MoveKind};
 pub use random::{random_neighbor, random_neighbor_into, random_plan};
 pub use search::{OptConfig, OptResult, Optimizer};
-pub use twostep::{
-    explicit_placement, two_step_plan, CompileTimeAssumption, MemoOutcome, TwoStepPlanner,
-};
+pub use twostep::{explicit_placement, CompileTimeAssumption, MemoOutcome, TwoStepPlanner};

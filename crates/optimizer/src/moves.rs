@@ -22,10 +22,9 @@
 //! can be disabled (`paper_moves_only`) to search the paper's exact space.
 //!
 //! A move is applied in place to a candidate the search overwrites on
-//! every step (the optimizer keeps the current plan for rejection);
-//! [`apply_move`] is the copying form. Moves that would produce an
-//! ill-formed plan (annotation cycle, §2.2.3) are filtered out by the
-//! caller via [`csqp_core::is_well_formed`].
+//! every step (the optimizer keeps the current plan for rejection).
+//! Moves that would produce an ill-formed plan (annotation cycle,
+//! §2.2.3) are rejected by [`apply_move_verified_in_place`].
 
 use std::ops::ControlFlow;
 
@@ -51,20 +50,6 @@ pub enum MoveKind {
     SelectAnnotation(Annotation),
     /// Move 7: flip a scan's annotation.
     ScanAnnotation(Annotation),
-}
-
-impl MoveKind {
-    /// True for the join-order moves (1–4 and commute).
-    pub fn is_order_move(self) -> bool {
-        matches!(
-            self,
-            MoveKind::Commute
-                | MoveKind::AssocLeft
-                | MoveKind::ExchangeLeft
-                | MoveKind::AssocRight
-                | MoveKind::ExchangeRight
-        )
-    }
 }
 
 /// A move anchored at a node.
@@ -209,16 +194,10 @@ pub fn applicable_moves_into(plan: &Plan, policy: Policy, set: MoveSet, out: &mu
     });
 }
 
-/// Apply `mv` to a copy of `plan`. Returns `None` when the move does not
-/// apply at that node (caller raced a stale move list) — never panics on
-/// structurally valid plans.
-pub fn apply_move(plan: &Plan, mv: Move) -> Option<Plan> {
-    let mut p = plan.clone();
-    apply_in_place(&mut p, mv).map(|()| p)
-}
-
-/// [`apply_move`] on `p` itself. Every applicability check runs before
-/// the first write, so a `None` leaves `p` as it was.
+/// Apply `mv` to `p`. Returns `None` when the move does not apply at
+/// that node (caller raced a stale move list) — never panics on
+/// structurally valid plans. Every applicability check runs before the
+/// first write, so a `None` leaves `p` as it was.
 fn apply_in_place(p: &mut Plan, mv: Move) -> Option<()> {
     let n = p.node(mv.node).clone();
     match mv.kind {
@@ -303,7 +282,7 @@ fn apply_in_place(p: &mut Plan, mv: Move) -> Option<()> {
     Some(())
 }
 
-/// Apply `mv` and hand the result to the static checker
+/// Apply `mv` to `p` and hand the result to the static checker
 /// ([`csqp_verify::check_logical`]).
 ///
 /// Moves 1–7 must preserve structural validity and policy conformance —
@@ -313,23 +292,12 @@ fn apply_in_place(p: &mut Plan, mv: Move) -> Option<()> {
 /// very easy to 'sort out' ill-formed plans during query optimization");
 /// those plans are rejected as `None`, exactly like inapplicable moves.
 ///
-/// The returned plan is therefore *checker-verified*: structurally sound,
-/// in `policy`'s Table 1 search space, and well-formed.
-pub fn apply_move_verified(
-    plan: &Plan,
-    mv: Move,
-    query: &QuerySpec,
-    policy: Policy,
-) -> Option<Plan> {
-    let mut next = plan.clone();
-    apply_move_verified_in_place(&mut next, mv, query, policy).then_some(next)
-}
-
-/// [`apply_move_verified`] on `p` itself: `true` when `p` now holds the
-/// checker-verified result. On `false` the move did not apply (`p` is
-/// untouched) or made a cycle (`p` holds the ill-formed plan); either
-/// way the caller discards `p`.
-pub(crate) fn apply_move_verified_in_place(
+/// Returns `true` when `p` now holds the *checker-verified* result:
+/// structurally sound, in `policy`'s Table 1 search space, and
+/// well-formed. On `false` the move did not apply (`p` is untouched) or
+/// made a cycle (`p` holds the ill-formed plan); either way the caller
+/// discards `p`.
+pub fn apply_move_verified_in_place(
     p: &mut Plan,
     mv: Move,
     query: &QuerySpec,
@@ -373,6 +341,22 @@ mod tests {
         QuerySpec::new(rels, edges)
     }
 
+    /// `p` with `kind` applied at `node`, or `None` if it does not apply.
+    fn moved(p: &Plan, node: NodeId, kind: MoveKind) -> Option<Plan> {
+        let mut p = p.clone();
+        apply_in_place(&mut p, Move { node, kind }).map(|()| p)
+    }
+
+    /// True for the join-order moves (1–4 and commute).
+    fn is_order_move(kind: MoveKind) -> bool {
+        !matches!(
+            kind,
+            MoveKind::JoinAnnotation(_)
+                | MoveKind::SelectAnnotation(_)
+                | MoveKind::ScanAnnotation(_)
+        )
+    }
+
     fn three_way_plan(q: &QuerySpec) -> Plan {
         JoinTree::left_deep(&[RelId(0), RelId(1), RelId(2)]).into_plan(
             q,
@@ -387,14 +371,7 @@ mod tests {
         let p = three_way_plan(&q);
         // ((R0 ⋈ R1) ⋈ R2): the top join has a join as child 0.
         let top = *p.join_nodes().last().unwrap();
-        let p2 = apply_move(
-            &p,
-            Move {
-                node: top,
-                kind: MoveKind::AssocLeft,
-            },
-        )
-        .unwrap();
+        let p2 = moved(&p, top, MoveKind::AssocLeft).unwrap();
         p2.validate_structure(&q).unwrap();
         assert_eq!(
             p2.render_compact(),
@@ -407,14 +384,7 @@ mod tests {
         let q = chain(3);
         let p = three_way_plan(&q);
         let top = *p.join_nodes().last().unwrap();
-        let p2 = apply_move(
-            &p,
-            Move {
-                node: top,
-                kind: MoveKind::ExchangeLeft,
-            },
-        )
-        .unwrap();
+        let p2 = moved(&p, top, MoveKind::ExchangeLeft).unwrap();
         p2.validate_structure(&q).unwrap();
         assert_eq!(
             p2.render_compact(),
@@ -427,22 +397,8 @@ mod tests {
         let q = chain(3);
         let p = three_way_plan(&q);
         let top = *p.join_nodes().last().unwrap();
-        let right = apply_move(
-            &p,
-            Move {
-                node: top,
-                kind: MoveKind::AssocLeft,
-            },
-        )
-        .unwrap();
-        let back = apply_move(
-            &right,
-            Move {
-                node: top,
-                kind: MoveKind::AssocRight,
-            },
-        )
-        .unwrap();
+        let right = moved(&p, top, MoveKind::AssocLeft).unwrap();
+        let back = moved(&right, top, MoveKind::AssocRight).unwrap();
         assert_eq!(back.render_compact(), p.render_compact());
     }
 
@@ -455,14 +411,7 @@ mod tests {
         );
         let p = t.into_plan(&q, Annotation::Consumer, Annotation::Client);
         let top = *p.join_nodes().last().unwrap();
-        let p2 = apply_move(
-            &p,
-            Move {
-                node: top,
-                kind: MoveKind::ExchangeRight,
-            },
-        )
-        .unwrap();
+        let p2 = moved(&p, top, MoveKind::ExchangeRight).unwrap();
         p2.validate_structure(&q).unwrap();
         // A⋈(B⋈C) → (A⋈C)⋈B.
         assert_eq!(
@@ -480,14 +429,7 @@ mod tests {
             Annotation::Client,
         );
         let j = p.join_nodes()[0];
-        let p2 = apply_move(
-            &p,
-            Move {
-                node: j,
-                kind: MoveKind::Commute,
-            },
-        )
-        .unwrap();
+        let p2 = moved(&p, j, MoveKind::Commute).unwrap();
         assert_eq!(
             p2.render_compact(),
             "(display (join:cons (scan R1:cl) (scan R0:cl)))"
@@ -505,7 +447,7 @@ mod tests {
         );
         // DS: join annotations have a single choice, scans/selects too ->
         // no site moves at all; order moves only.
-        assert!(ds.iter().all(|m| m.kind.is_order_move()), "{ds:?}");
+        assert!(ds.iter().all(|m| is_order_move(m.kind)), "{ds:?}");
         assert!(!ds.is_empty());
 
         let qsp = JoinTree::left_deep(&[RelId(0), RelId(1), RelId(2)]).into_plan(
@@ -552,7 +494,7 @@ mod tests {
         let p = three_way_plan(&q);
         let mv = applicable_moves(&p, Policy::HybridShipping, MoveSet::site_selection_only());
         assert!(!mv.is_empty());
-        assert!(mv.iter().all(|m| !m.kind.is_order_move()));
+        assert!(mv.iter().all(|m| !is_order_move(m.kind)));
     }
 
     #[test]
@@ -569,7 +511,7 @@ mod tests {
                 MoveSet::for_policy(Policy::DataShipping),
             );
             let mv = moves[p.arena_len() % moves.len()];
-            let p2 = apply_move(&p, mv).unwrap();
+            let p2 = moved(&p, mv.node, mv.kind).unwrap();
             p2.validate_structure(&q).unwrap();
             p = p2;
         }
@@ -584,23 +526,9 @@ mod tests {
             Annotation::Client,
         );
         let scan = p.scan_nodes()[0];
-        assert!(apply_move(
-            &p,
-            Move {
-                node: scan,
-                kind: MoveKind::Commute
-            }
-        )
-        .is_none());
+        assert!(moved(&p, scan, MoveKind::Commute).is_none());
         let join = p.join_nodes()[0];
         // Join whose children are scans: assoc does not apply.
-        assert!(apply_move(
-            &p,
-            Move {
-                node: join,
-                kind: MoveKind::AssocLeft
-            }
-        )
-        .is_none());
+        assert!(moved(&p, join, MoveKind::AssocLeft).is_none());
     }
 }

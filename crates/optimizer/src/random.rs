@@ -126,8 +126,7 @@ pub fn random_join_tree(query: &QuerySpec, rng: &mut SimRng) -> JoinTree {
 }
 
 /// Take one uniformly random applicable move, returning a
-/// checker-verified plan (see
-/// [`apply_move_verified`](crate::moves::apply_move_verified)); `None`
+/// checker-verified plan (see [`apply_move_verified_in_place`]); `None`
 /// when the move would break well-formedness or nothing applies.
 pub fn random_neighbor(
     plan: &Plan,

@@ -142,24 +142,6 @@ impl TwoStepPlanner {
         opt.site_selection(start, rng).plan
     }
 
-    /// Cancellable [`TwoStepPlanner::site_select`]: probes `guard` between
-    /// annotation moves so the serving layer can abandon dead work.
-    #[allow(clippy::too_many_arguments)]
-    pub fn site_select_guarded(
-        &self,
-        compiled: &Plan,
-        query: &QuerySpec,
-        sys: &SystemConfig,
-        runtime_catalog: &Catalog,
-        rng: &mut SimRng,
-        guard: &csqp_core::CancelToken,
-    ) -> Result<Plan, csqp_core::StopReason> {
-        let model = CostModel::new(sys, runtime_catalog, query, SiteId::CLIENT);
-        let opt = Optimizer::new(&model, self.policy, self.objective, self.config.clone());
-        let start = clamp_to_topology(compiled, query, runtime_catalog);
-        Ok(opt.site_selection_guarded(start, rng, guard)?.plan)
-    }
-
     /// Memoizing [`TwoStepPlanner::compile`]: probe the memo's compiled
     /// layer, optimize cold on a miss and install. The compile RNG stream
     /// is seeded from the probe fingerprint, so the cold plan for a key is
@@ -190,9 +172,10 @@ impl TwoStepPlanner {
         }
     }
 
-    /// Memoizing [`TwoStepPlanner::site_select_guarded`]: probe the memo's
-    /// winner layer for this (policy × objective × cache-bucket) cell,
-    /// anneal cold on a miss and install the winner with its proved cost.
+    /// Memoizing, cancellable [`TwoStepPlanner::site_select`]: probe the
+    /// memo's winner layer for this (policy × objective × cache-bucket)
+    /// cell, anneal cold on a miss (probing `guard` between annotation
+    /// moves) and install the winner with its proved cost.
     ///
     /// Determinism contract: the annealing stream is seeded from the probe
     /// fingerprint, and `runtime_catalog` must carry exactly the cached
@@ -295,19 +278,6 @@ fn clamp_to_topology(plan: &Plan, query: &QuerySpec, catalog: &Catalog) -> Plan 
         );
     }
     plan.clone()
-}
-
-/// Convenience: compile-time order, runtime sites, in one call.
-pub fn two_step_plan(
-    planner: &TwoStepPlanner,
-    query: &QuerySpec,
-    sys: &SystemConfig,
-    assumption: CompileTimeAssumption,
-    runtime_catalog: &Catalog,
-    rng: &mut SimRng,
-) -> Plan {
-    let compiled = planner.compile(query, sys, assumption, rng);
-    planner.site_select(&compiled, query, sys, runtime_catalog, rng)
 }
 
 /// Place `rels` on `num_servers` servers in the given explicit assignment
@@ -415,7 +385,7 @@ mod tests {
         let c = explicit_placement(2, &[(RelId(0), 1), (RelId(1), 2), (RelId(2), 1)]);
         assert_eq!(c.primary_site(RelId(0)), SiteId::server(1));
         assert_eq!(c.primary_site(RelId(2)), SiteId::server(1));
-        assert_eq!(c.relations_at(SiteId::server(2)), vec![RelId(1)]);
+        assert_eq!(c.primary_site(RelId(1)), SiteId::server(2));
     }
 
     #[test]

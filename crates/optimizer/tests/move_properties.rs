@@ -9,15 +9,13 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use csqp_catalog::{Catalog, JoinEdge, QuerySpec, RelId, Relation, SiteId, SystemConfig};
-use csqp_core::{
-    bind, bind_into, is_well_formed, Annotation, BindContext, BindError, LogicalOp, Plan, Policy,
-};
+use csqp_core::{bind, bind_into, Annotation, BindContext, BindError, LogicalOp, Plan, Policy};
 use csqp_cost::{CostModel, Objective};
-use csqp_optimizer::moves::{apply_move_verified, MoveSet};
+use csqp_optimizer::moves::{apply_move_verified_in_place, MoveSet};
 use csqp_optimizer::random::randomize_annotations;
 use csqp_optimizer::{
-    applicable_moves, applicable_moves_into, apply_move, random_neighbor, random_neighbor_into,
-    random_plan, OptConfig, Optimizer,
+    applicable_moves, applicable_moves_into, random_neighbor, random_neighbor_into, random_plan,
+    OptConfig, Optimizer,
 };
 use csqp_simkernel::rng::SimRng;
 use csqp_verify::{check_logical, Checker};
@@ -144,8 +142,8 @@ proptest! {
                 break;
             }
             let mv = *rng.pick(&moves);
-            let Some(cand) = apply_move(&plan, mv) else { continue };
-            if !is_well_formed(&cand) {
+            let mut cand = plan.clone();
+            if !apply_move_verified_in_place(&mut cand, mv, &q, policy) {
                 continue; // the search rejects these too
             }
             cand.validate_structure(&q).unwrap();
@@ -155,9 +153,9 @@ proptest! {
         }
     }
 
-    /// Every applicable move either applies cleanly or is rejected as a
-    /// whole — `apply_move` never panics and never yields a structurally
-    /// broken plan.
+    /// Every applicable move applies: `apply_move_verified_in_place`
+    /// changes the plan, never panics and never yields a structurally
+    /// broken plan (an annotation cycle is rejected, but still a tree).
     #[test]
     fn applicable_moves_apply(
         n in 2u32..7,
@@ -168,8 +166,9 @@ proptest! {
         let plan = random_plan(&q, Policy::HybridShipping, &mut rng);
         let set = MoveSet::for_policy(Policy::HybridShipping);
         for mv in applicable_moves(&plan, Policy::HybridShipping, set) {
-            let applied = apply_move(&plan, mv)
-                .unwrap_or_else(|| panic!("listed move must apply: {mv:?} on {plan}"));
+            let mut applied = plan.clone();
+            apply_move_verified_in_place(&mut applied, mv, &q, Policy::HybridShipping);
+            prop_assert!(applied != plan, "listed move must apply: {:?} on {}", mv, plan);
             applied.validate_structure(&q).unwrap();
         }
     }
@@ -190,7 +189,8 @@ proptest! {
         prop_assert!(check_logical(&plan, &q, policy).is_clean());
         let set = MoveSet::for_policy(policy);
         for mv in applicable_moves(&plan, policy, set) {
-            if let Some(next) = apply_move_verified(&plan, mv, &q, policy) {
+            let mut next = plan.clone();
+            if apply_move_verified_in_place(&mut next, mv, &q, policy) {
                 let report = check_logical(&next, &q, policy);
                 prop_assert!(
                     report.is_clean(),
@@ -352,10 +352,10 @@ proptest! {
         let reachable_before = plan.postorder().len();
         let set = MoveSet::for_policy(Policy::HybridShipping);
         for mv in applicable_moves(&plan, Policy::HybridShipping, set) {
-            if let Some(applied) = apply_move(&plan, mv) {
-                prop_assert_eq!(applied.postorder().len(), reachable_before);
-                prop_assert_eq!(applied.arena_len(), plan.arena_len());
-            }
+            let mut applied = plan.clone();
+            apply_move_verified_in_place(&mut applied, mv, &q, Policy::HybridShipping);
+            prop_assert_eq!(applied.postorder().len(), reachable_before);
+            prop_assert_eq!(applied.arena_len(), plan.arena_len());
         }
     }
 }

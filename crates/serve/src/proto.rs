@@ -1159,14 +1159,6 @@ impl FrameReader {
         !self.buf.is_empty()
     }
 
-    /// Extract a complete frame already sitting in the buffer — without
-    /// touching the stream. The event-driven session engine uses this to
-    /// drain back-to-back pipelined frames that arrived in one read
-    /// before issuing another syscall.
-    pub fn take_buffered(&mut self) -> Result<Option<Frame>, WireError> {
-        self.try_take()
-    }
-
     /// Extract a complete frame from the front of the buffer, if one is
     /// already there.
     fn try_take(&mut self) -> Result<Option<Frame>, WireError> {
@@ -1213,9 +1205,9 @@ mod tests {
     }
 
     #[test]
-    fn take_buffered_drains_pipelined_frames_without_reading() {
-        // Two frames land in one read; take_buffered hands them over one
-        // at a time with no further stream access.
+    fn step_drains_pipelined_frames_before_reading() {
+        // Two frames land in one read; the next step hands over the
+        // buffered one without touching its (now empty) stream.
         let mut bytes = Frame::StatsRequest.encode();
         bytes.extend_from_slice(&Frame::Bye.encode());
         let mut reader = FrameReader::new();
@@ -1224,9 +1216,13 @@ mod tests {
             reader.step(&mut src).unwrap(),
             ReadStep::Frame(Frame::StatsRequest)
         ));
-        assert!(matches!(reader.take_buffered().unwrap(), Some(Frame::Bye)));
-        assert!(reader.take_buffered().unwrap().is_none());
+        let mut empty: &[u8] = &[];
+        assert!(matches!(
+            reader.step(&mut empty).unwrap(),
+            ReadStep::Frame(Frame::Bye)
+        ));
         assert!(!reader.mid_frame());
+        assert!(matches!(reader.step(&mut empty).unwrap(), ReadStep::Closed));
     }
 
     #[test]

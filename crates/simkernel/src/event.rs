@@ -82,11 +82,6 @@ impl<E> EventQueue<E> {
         Some((time, payload))
     }
 
-    /// Time of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.pending.last().map(|&(time, _)| time)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.pending.len()
@@ -170,8 +165,6 @@ mod tests {
                     let want = (!reference.is_empty()).then(|| reference.remove(0));
                     prop_assert_eq!(q.pop(), want);
                 }
-                reference.sort();
-                prop_assert_eq!(q.peek_time(), reference.first().map(|e| e.0));
                 prop_assert_eq!(q.len(), reference.len());
                 prop_assert_eq!(q.is_empty(), reference.is_empty());
             }
@@ -184,13 +177,11 @@ mod tests {
     }
 
     #[test]
-    fn peek_and_len() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
         q.schedule(SimTime(7), 1u8);
         q.schedule(SimTime(3), 2u8);
-        assert_eq!(q.peek_time(), Some(SimTime(3)));
         assert_eq!(q.len(), 2);
     }
 }

@@ -104,11 +104,6 @@ impl<T> FifoServer<T> {
         self.in_service.as_ref().map(|(r, _)| &r.token)
     }
 
-    /// Number of requests waiting (excluding the one in service).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
     /// True when nothing is in service or queued.
     pub fn is_idle(&self) -> bool {
         self.in_service.is_none() && self.queue.is_empty()
@@ -146,7 +141,6 @@ mod tests {
         assert_eq!(fin_a, Some(SimTime(10_000_000)));
         assert!(s.submit(t0, "b", SimDuration::from_millis(5)).is_none());
         assert!(s.submit(t0, "c", SimDuration::from_millis(1)).is_none());
-        assert_eq!(s.queue_len(), 2);
 
         let (tok, next) = s.finish_current(SimTime(10_000_000));
         assert_eq!(tok, "a");

@@ -84,28 +84,6 @@ impl Sample {
         let t = t_quantile_90(self.n - 1);
         t * self.std_dev() / (self.n as f64).sqrt()
     }
-
-    /// The 90% CI half-width as a fraction of the mean (the paper's
-    /// "within 5%" criterion). `None` when the mean is ~0.
-    pub fn ci90_relative(&self) -> Option<f64> {
-        if self.mean.abs() < 1e-12 {
-            None
-        } else {
-            Some(self.ci90_half_width() / self.mean.abs())
-        }
-    }
-
-    /// True when the paper's stopping criterion holds: the 90% CI half-width
-    /// is within `frac` of the mean (a zero mean is considered converged).
-    pub fn converged_within(&self, frac: f64) -> bool {
-        if self.n < 2 {
-            return false;
-        }
-        match self.ci90_relative() {
-            None => true,
-            Some(rel) => rel <= frac,
-        }
-    }
 }
 
 /// Two-sided 90% Student-t quantile (i.e. t_{0.95, df}).
@@ -147,12 +125,10 @@ mod tests {
     }
 
     #[test]
-    fn identical_observations_converge_immediately() {
+    fn identical_observations_have_a_zero_width_ci() {
         let mut s = Sample::new();
         s.add(3.0);
-        assert!(!s.converged_within(0.05), "one sample is never converged");
         s.add(3.0);
-        assert!(s.converged_within(0.05));
         assert_eq!(s.ci90_half_width(), 0.0);
     }
 
@@ -169,7 +145,6 @@ mod tests {
         }
         let w100 = s.ci90_half_width();
         assert!(w100 < w10 / 2.0, "CI did not shrink: {w10} -> {w100}");
-        assert!(s.converged_within(0.05));
     }
 
     #[test]
@@ -177,14 +152,5 @@ mod tests {
         assert!(t_quantile_90(1) > t_quantile_90(5));
         assert!(t_quantile_90(5) > t_quantile_90(29));
         assert!((t_quantile_90(1000) - 1.645).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_mean_relative_ci_is_none() {
-        let mut s = Sample::new();
-        s.add(1.0);
-        s.add(-1.0);
-        assert_eq!(s.ci90_relative(), None);
-        assert!(s.converged_within(0.05));
     }
 }

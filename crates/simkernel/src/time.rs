@@ -79,12 +79,6 @@ impl SimDuration {
         SimDuration(ms * 1_000_000)
     }
 
-    /// Build a duration from integer nanoseconds.
-    #[inline]
-    pub const fn from_nanos(ns: u64) -> SimDuration {
-        SimDuration(ns)
-    }
-
     /// Nanoseconds in this duration.
     #[inline]
     pub fn as_nanos(self) -> u64 {
@@ -232,7 +226,7 @@ mod tests {
         assert_eq!(SimDuration::from_millis(3).as_nanos(), 3_000_000);
         assert_eq!(SimDuration::from_micros(7).as_nanos(), 7_000);
         assert_eq!(SimDuration::from_secs_f64(1.5).as_nanos(), 1_500_000_000);
-        assert!((SimDuration::from_nanos(250).as_secs_f64() - 2.5e-7).abs() < 1e-18);
+        assert!((SimDuration(250).as_secs_f64() - 2.5e-7).abs() < 1e-18);
     }
 
     #[test]

@@ -47,7 +47,7 @@ proptest! {
         let mut first = None;
         for (i, svc) in services.iter().enumerate() {
             if let Some(f) =
-                s.submit(SimTime::ZERO, i as u32, SimDuration::from_nanos(*svc))
+                s.submit(SimTime::ZERO, i as u32, SimDuration(*svc))
             {
                 first = Some(f);
             }

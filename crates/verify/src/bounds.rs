@@ -406,7 +406,11 @@ mod tests {
 
     #[test]
     fn key_without_edges_is_unjustified() {
-        let q = QuerySpec::new(vec![Relation::benchmark(RelId(0), "A").with_key()], vec![]);
+        let key = Relation {
+            key: true,
+            ..Relation::benchmark(RelId(0), "A")
+        };
+        let q = QuerySpec::new(vec![key], vec![]);
         let diags = audit_keys(&q);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, DiagCode::BoundKeyUnsound);

@@ -164,17 +164,6 @@ impl SystemState {
             swept: false,
         }
     }
-
-    /// True when nothing can ever happen again: the pool is closed and
-    /// drained and every session is closed.
-    #[must_use]
-    pub fn terminal(&self) -> bool {
-        !self.pool.open
-            && self.pool.queue.is_empty()
-            && self.pool.busy.is_empty()
-            && self.pool.done.is_empty()
-            && self.sessions.iter().all(|s| s.closed)
-    }
 }
 
 /// One transition of the composed machine.
@@ -820,15 +809,6 @@ mod tests {
             s1.states,
             s2.states
         );
-    }
-
-    #[test]
-    fn terminal_state_detection() {
-        let mut st = SystemState::new(2, 1, 2, 2);
-        assert!(!st.terminal());
-        let (st2, _) = system_step(&st, SysEvent::Shutdown);
-        st = st2;
-        assert!(st.terminal(), "{st:?}");
     }
 
     #[test]

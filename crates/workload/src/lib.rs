@@ -192,6 +192,7 @@ pub fn load_utilization(rate_per_sec: f64, rand_page_ms: f64) -> f64 {
 mod tests {
     use super::*;
     use csqp_catalog::{Estimator, RelSet, SystemConfig};
+    use std::collections::BTreeSet;
 
     #[test]
     fn benchmark_relations_match_paper() {
@@ -230,16 +231,13 @@ mod tests {
         for servers in 1..=10 {
             let mut rng = SimRng::seed_from_u64(servers as u64);
             let cat = random_placement(&q, servers, &mut rng);
-            for s in 1..=servers {
-                assert!(
-                    !cat.relations_at(SiteId::server(s)).is_empty(),
-                    "server {s} of {servers} got no relation"
-                );
-            }
-            let placed: usize = (1..=servers)
-                .map(|s| cat.relations_at(SiteId::server(s)).len())
-                .sum();
-            assert_eq!(placed, 10);
+            let homes: BTreeSet<SiteId> = q
+                .relations
+                .iter()
+                .map(|r| cat.try_primary_site(r.id).expect("every relation placed"))
+                .collect();
+            let every_server: BTreeSet<SiteId> = (1..=servers).map(SiteId::server).collect();
+            assert_eq!(homes, every_server, "{servers} servers");
         }
     }
 

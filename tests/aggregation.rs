@@ -150,7 +150,7 @@ fn cost_model_matches_engine_for_aggregates() {
             },
         )
         .unwrap();
-        let est = model.evaluate_bound(&bound, Objective::Communication);
+        let est = model.cost_bound(&bound).get(Objective::Communication);
         let m = ExecutionBuilder::new(&q, &catalog, &sys).execute(&bound);
         assert_eq!(est as u64, m.pages_sent, "annotation {ann}");
     }

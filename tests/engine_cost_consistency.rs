@@ -31,8 +31,8 @@ fn run_both(
         },
     )
     .unwrap();
-    let est_pages = model.evaluate_bound(&bound, Objective::Communication);
-    let est_rt = model.evaluate_bound(&bound, Objective::ResponseTime);
+    let est_pages = model.cost_bound(&bound).get(Objective::Communication);
+    let est_rt = model.cost_bound(&bound).get(Objective::ResponseTime);
     let m = ExecutionBuilder::new(query, catalog, sys).execute(&bound);
     (est_pages, m.pages_sent, est_rt, m.response_secs())
 }
