@@ -161,8 +161,10 @@ pub enum DiagCode {
     /// with a justification for why it cannot stall the serving path.
     UnboundedChannel,
     /// A direct `Catalog` mutation (`place`/`set_cached_fraction`)
-    /// outside the `CatalogCoordinator` epoch API or the justified
-    /// allowlist: drift state must never bypass epoch accounting.
+    /// outside the justified construction-time allowlist: the served
+    /// catalog derives from exactly the inputs the memo fingerprint
+    /// covers (placement seed, spec, declared cache), so nothing may
+    /// change it afterwards.
     CatalogMutation,
     /// An `extern` block (raw C-ABI syscall binding) outside the
     /// justified allowlist: unsafe FFI shims live in one audited module

@@ -44,13 +44,14 @@
 //!   integer narrowing through `try_from` / `u32::from`, or justify the
 //!   site in the allowlist.
 //! * **catalog-mutation** — no direct `Catalog` mutation (`.place(…)` /
-//!   `.set_cached_fraction(…)`) outside the justified allowlist. Once a
-//!   catalog is replicated per serving site, a mutation that bypasses
-//!   the coordinator/epoch API (`ReplicatedCatalog`) silently desyncs
-//!   replicas without bumping an epoch — so the memo never invalidates
-//!   and staleness bounds cannot be enforced. Construction-time call
-//!   sites (tests, benches, workload generators, pre-serving setup)
-//!   carry entries saying so.
+//!   `.set_cached_fraction(…)`) outside the justified allowlist. The
+//!   served catalog is derived per request from the placement seed, the
+//!   spec and the declared cache, and the memo fingerprint covers
+//!   exactly those inputs; a catalog mutated in place after that
+//!   derivation would price plans on state no fingerprint names, so a
+//!   memo hit could replay a plan for a different catalog.
+//!   Construction-time call sites (tests, benches, workload generators,
+//!   the per-request derivation itself) carry entries saying so.
 //! * **dead-pub** — every `pub fn` in non-test source (`crates/*/src`,
 //!   `src/`, `examples/`, `csqp-benchmark/src`, minus `#[cfg(test)]`
 //!   items and `#![cfg(test)]` files) must be named somewhere else in
@@ -318,12 +319,6 @@ pub const ALLOWLIST: &[Allow] = &[
               placement generators; the primitive's home",
     },
     Allow {
-        path: "crates/catalog/src/replica.rs",
-        rule: RuleKind::CatalogMutation,
-        why: "the coordinator/epoch API itself: the one blessed mutation \
-              path, applying logged deltas to the base and replica catalogs",
-    },
-    Allow {
         path: "crates/core/src/bind.rs",
         rule: RuleKind::CatalogMutation,
         why: "test-only catalogs built to bind plans against",
@@ -408,9 +403,9 @@ pub const ALLOWLIST: &[Allow] = &[
     Allow {
         path: "crates/serve/src/server.rs",
         rule: RuleKind::CatalogMutation,
-        why: "builds the hosted placement once at startup, before serving; \
-              runtime drift flows through the epoch model, never raw \
-              mutation of the served catalog",
+        why: "derives each request's catalog from the placement seed, the \
+              spec and the declared cache on a fresh copy; runtime drift \
+              moves epoch numbers only, never a catalog",
     },
     Allow {
         path: "crates/serve/tests/loopback.rs",
@@ -437,9 +432,8 @@ pub const ALLOWLIST: &[Allow] = &[
     Allow {
         path: "src/bin/check.rs",
         rule: RuleKind::CatalogMutation,
-        why: "the drift replay drives mutations through the \
-              ReplicatedCatalog epoch API, whose methods deliberately share \
-              the Catalog spelling; earlier stages build fixture catalogs",
+        why: "the memo-consistency stage builds one fixture catalog per \
+              cell to site-select against; nothing is served from them",
     },
     Allow {
         path: "examples/multi_query.rs",
@@ -665,10 +659,13 @@ impl Linter {
                         rel,
                         lineno,
                         format!(
-                            "direct catalog mutation `{pat}…)` bypasses the \
-                             coordinator/epoch API; replicas desync and the memo \
-                             never invalidates — go through ReplicatedCatalog or \
-                             justify the construction-time call site"
+                            "direct catalog mutation `{pat}…)` outside catalog \
+                             construction; the served catalog derives from the \
+                             placement seed, spec and declared cache the memo \
+                             fingerprint covers, and a later mutation prices \
+                             plans on state no fingerprint names — derive the \
+                             catalog from those inputs or justify the \
+                             construction-time call site"
                         ),
                     ));
                 }

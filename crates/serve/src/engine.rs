@@ -255,8 +255,8 @@ const WAKER_TOKEN: u64 = u64::MAX;
 /// One event-loop thread: owns a disjoint set of sessions and the only
 /// reactor that watches them.
 pub(crate) struct Shard {
-    /// This shard's index — the "site" its catalog replica lives at in
-    /// the drift model (see `QueryService::catalog_verdict`).
+    /// This shard's index — the "site" whose epoch the catalog drift
+    /// model tracks (see [`QueryService::catalog_verdict`]).
     index: usize,
     service: Arc<QueryService>,
     submit: SyncSender<Job>,

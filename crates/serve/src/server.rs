@@ -101,20 +101,20 @@ pub struct ServerConfig {
     /// bookkeeping). LRU+cost-aware eviction keeps the table under this
     /// bound; see DESIGN.md §13.
     pub memo_bytes: usize,
-    /// Staleness bound for the per-shard catalog replicas: the most
-    /// coordinator epochs a replica may trail while its queries still
+    /// Staleness bound of the catalog drift model: the most epochs a
+    /// shard may trail the coordinator epoch while its queries still
     /// serve *fresh* at the requested policy. Beyond the bound the query
     /// takes the typed degradation path (DESIGN.md §14): downgrade to QS
     /// with `degrade_reason = stale-catalog`, or — when it is already QS
     /// — reject with a retry hint.
     pub catalog_lag: u64,
     /// Catalog-propagation fault injection: when set, every admitted
-    /// query doubles as a coordinator epoch tick and the shard replica's
-    /// refresh is deterministically withheld, torn, reordered, or
+    /// query publishes a coordinator epoch and the admitting shard's
+    /// epoch refresh is deterministically withheld, torn, reordered, or
     /// poisoned per the plan, keyed by the request's own seed. When
     /// `None` the whole drift layer is inert (epoch stays 0, no trace) —
-    /// serving is byte-identical to a pre-replication build. Chaos
-    /// testing only — never enable in real serving.
+    /// serving is byte-identical to a build without it. Chaos testing
+    /// only — never enable in real serving.
     pub catalog_faults: Option<csqp_net::chaos::FaultPlan>,
     /// Client-memory budget, in pages, for the *guaranteed* worst-case
     /// footprint of the chosen plan (`csqp-verify::bounds`): the pages of
@@ -176,26 +176,26 @@ pub(crate) const RETRY_AFTER_MS: u64 = 50;
 /// restart supervisor to bring a replacement up.
 pub(crate) const SHUTDOWN_RETRY_AFTER_MS: u64 = 1_000;
 
-/// How the admitting shard's catalog replica stood against the
-/// coordinator when a query was admitted — the typed degradation verdict
-/// of the replication layer (DESIGN.md §14). Computed once per admitted
+/// How far the admitting shard's epoch trailed the coordinator epoch
+/// when a query was admitted — the typed degradation verdict of the
+/// catalog drift model (DESIGN.md §14). Computed once per admitted
 /// query by the shard thread and carried on the `Job` so the worker
 /// honors exactly the state the admission decision saw.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CatalogVerdict {
-    /// The replica is within [`ServerConfig::catalog_lag`]: serve at the
-    /// requested policy, priced against the replica's epoch.
+    /// The shard is within [`ServerConfig::catalog_lag`]: serve at the
+    /// requested policy, priced under the shard's epoch.
     Fresh,
-    /// The replica is past the bound (or its cached-fraction state is
+    /// The shard is past the bound (or its cached-fraction state is
     /// poisoned) but the request can still downgrade: serve QS — which
     /// never prices the client cache, so stale fractions cannot mislead
     /// it — with `degrade_reason = stale-catalog`.
     Degrade,
-    /// The replica is past the bound and the request is already QS, so
+    /// The shard is past the bound and the request is already QS, so
     /// there is nothing sound left to downgrade to: reject with a retry
-    /// hint (the replica will have refreshed by the retry).
+    /// hint (the shard will have refreshed by the retry).
     Reject {
-        /// How many epochs the replica trailed the coordinator.
+        /// How many epochs the shard trailed the coordinator.
         lag: u64,
     },
 }
@@ -206,24 +206,26 @@ pub enum CatalogVerdict {
 /// the `csqp-verify` drift pass needs for sound replay.
 const DRIFT_TRACE_CAP: usize = 65_536;
 
-/// Epoch bookkeeping for the simulated per-shard catalog replicas. All
-/// zeros — and never touched — unless [`ServerConfig::catalog_faults`]
-/// is armed, which is what keeps the no-fault serving path byte-
-/// identical to a pre-replication build.
+/// The catalog drift model's state: a coordinator epoch and one epoch
+/// per shard, numbers only — no catalog is copied or mutated, since the
+/// served catalog is derived per request. All zeros — and never
+/// touched — unless [`ServerConfig::catalog_faults`] is armed, which is
+/// what keeps the no-fault serving path byte-identical to a build
+/// without it.
 struct DriftState {
     /// The coordinator's published epoch.
     coordinator: AtomicU64,
-    /// Each shard's replica epoch, indexed by shard (event-loop) index.
+    /// Each shard's epoch, indexed by shard (event-loop) index.
     replicas: Vec<AtomicU64>,
-    /// Refresh deliveries applied by replicas (including torn ones).
+    /// Refresh deliveries shards applied (including torn ones).
     refreshes: AtomicU64,
-    /// Reordered (regressing) deliveries the replicas refused.
+    /// Reordered (regressing) deliveries shards refused.
     regressions: AtomicU64,
     /// Queries downgraded to QS for staleness or poison.
     stale_degraded: AtomicU64,
     /// QS queries bounced outright for staleness.
     stale_rejected: AtomicU64,
-    /// Worst replica lag observed at any admission decision.
+    /// Worst shard lag observed at any admission decision.
     max_lag: AtomicU64,
     /// The event trace the `csqp-verify` drift pass audits after a soak.
     trace: Mutex<Vec<DriftEvent>>,
@@ -259,7 +261,7 @@ pub struct QueryService {
     /// Queries admitted but not yet finished (queued + executing); the
     /// degradation high-water mark compares against this.
     inflight: AtomicU64,
-    /// The per-shard catalog replica epochs and drift counters; inert
+    /// The coordinator and per-shard epochs and drift counters; inert
     /// unless catalog faults are armed.
     drift: DriftState,
 }
@@ -349,18 +351,17 @@ impl QueryService {
         lock(&self.drift.trace).clone()
     }
 
-    /// Advance the drift model for one admitted query and return the
-    /// serving verdict, keyed by the request's own seed so the schedule
-    /// is reproducible without any session state. `None` (faults
-    /// unarmed) means the drift layer is inert. Called on the admitting
-    /// shard's thread; soaks that assert digest equality run queries
+    /// Advance the drift model for one query admitted at `shard` and
+    /// return the serving verdict, keyed by the request's own seed so
+    /// the schedule is reproducible without any session state. `None`
+    /// (faults unarmed) means the drift layer is inert. Every epoch it
+    /// publishes bumps the memo generation, and the events it decides
+    /// are appended to [`drift_trace`](Self::drift_trace). The shard
+    /// event loop calls it at admission; `csqp-check --catalog` calls
+    /// it directly. Soaks that assert digest equality run queries
     /// sequentially, which makes the whole drift trajectory a pure
     /// function of the request stream.
-    pub(crate) fn catalog_verdict(
-        &self,
-        shard: usize,
-        req: &QueryRequest,
-    ) -> Option<CatalogVerdict> {
+    pub fn catalog_verdict(&self, shard: usize, req: &QueryRequest) -> Option<CatalogVerdict> {
         use csqp_net::chaos::CatalogFault;
         let plan = self.config.catalog_faults.as_ref()?;
         let fault = plan.catalog_fault_for(req.seed);
@@ -1565,6 +1566,133 @@ mod tests {
         assert_eq!(stats.catalog_epoch, a.catalog_epoch());
         assert!(stats.catalog_refreshes > 0);
         assert!(stats.catalog_max_lag > 1, "withheld bursts push past lag 1");
+    }
+
+    #[test]
+    fn each_catalog_fault_moves_the_shard_epoch_as_specified() {
+        use csqp_net::chaos::{CatalogFault, FaultPlan};
+        let plan = FaultPlan::new(0xD81F7, 0.8);
+        let service = QueryService::new(ServerConfig {
+            catalog_faults: Some(plan),
+            catalog_lag: 2,
+            ..ServerConfig::default()
+        });
+        let seed_for = |kind: CatalogFault| {
+            (0..4096u64)
+                .find(|&s| plan.catalog_fault_for(s) == kind)
+                .expect("every fault kind is drawn within 4096 seeds")
+        };
+        // Admit one HY request whose seed draws `kind` at shard 0, and
+        // return the verdict plus the events it appended.
+        let admit = |kind: CatalogFault| {
+            let mut req = request(
+                WorkloadSpec::Chain {
+                    n: 3,
+                    selectivity: csqp_workload::MODERATE_SEL,
+                },
+                Policy::HybridShipping,
+                OptimizerMode::TwoPhase,
+            );
+            req.seed = seed_for(kind);
+            let before = service.drift_trace().len();
+            let verdict = service.catalog_verdict(0, &req);
+            (verdict, service.drift_trace()[before..].to_vec(), req.seed)
+        };
+        let serve_of = |events: &[DriftEvent]| match events.last() {
+            Some(&DriftEvent::Serve {
+                priced_epoch,
+                coordinator_epoch,
+                lag,
+                action,
+                ..
+            }) => (priced_epoch, coordinator_epoch, lag, action),
+            other => panic!("a query's events end with its serve, got {other:?}"),
+        };
+
+        // None: the shard refreshes to the new coordinator epoch.
+        let (verdict, events, _) = admit(CatalogFault::None);
+        assert_eq!(
+            events,
+            vec![
+                DriftEvent::Publish { epoch: 1 },
+                DriftEvent::Refresh {
+                    site: 0,
+                    from: 0,
+                    to: 1,
+                    applied: true
+                },
+                DriftEvent::Serve {
+                    site: 0,
+                    priced_epoch: 1,
+                    coordinator_epoch: 1,
+                    lag: 0,
+                    action: DriftAction::Fresh
+                },
+            ]
+        );
+        assert_eq!(verdict, Some(CatalogVerdict::Fresh));
+
+        // WithheldRefresh: a burst of publishes, no refresh, and the lag
+        // grows by the burst.
+        let (verdict, events, seed) = admit(CatalogFault::WithheldRefresh);
+        let burst = (1 + plan.catalog_rng_for(seed).derive(1).below(4)) as u64;
+        let publishes = events
+            .iter()
+            .filter(|e| matches!(e, DriftEvent::Publish { .. }))
+            .count() as u64;
+        assert_eq!(publishes, burst);
+        assert!(!events
+            .iter()
+            .any(|e| matches!(e, DriftEvent::Refresh { .. })));
+        let (priced, coord, lag, _) = serve_of(&events);
+        assert_eq!((priced, coord, lag), (1, 1 + burst, burst));
+        let expected = if lag <= 2 {
+            CatalogVerdict::Fresh
+        } else {
+            CatalogVerdict::Degrade
+        };
+        assert_eq!(verdict, Some(expected));
+
+        // TornEpoch: applied, landing one short of the coordinator.
+        let (_, events, _) = admit(CatalogFault::TornEpoch);
+        let (priced, coord, lag, _) = serve_of(&events);
+        assert!(events.contains(&DriftEvent::Refresh {
+            site: 0,
+            from: 1,
+            to: coord - 1,
+            applied: true,
+        }));
+        assert_eq!((priced, lag), (coord - 1, 1));
+
+        // ReorderedEpoch: recorded unapplied; the shard keeps its epoch.
+        let held = priced;
+        let (_, events, _) = admit(CatalogFault::ReorderedEpoch);
+        let (priced, coord, lag, _) = serve_of(&events);
+        assert!(events.contains(&DriftEvent::Refresh {
+            site: 0,
+            from: held,
+            to: held - 1,
+            applied: false,
+        }));
+        assert_eq!(
+            priced, held,
+            "a reordered delivery never moves the epoch back"
+        );
+        assert_eq!(lag, coord - held);
+
+        // PoisonedFraction: refreshed to current, yet degraded by the
+        // poison even at lag 0.
+        let (verdict, events, _) = admit(CatalogFault::PoisonedFraction);
+        let (_, _, lag, action) = serve_of(&events);
+        assert!(events.contains(&DriftEvent::Poison { site: 0 }));
+        assert_eq!((lag, action), (0, DriftAction::Degraded));
+        assert_eq!(verdict, Some(CatalogVerdict::Degrade));
+        // The poison lasts one query: the next clean refresh serves fresh.
+        let (verdict, _, _) = admit(CatalogFault::None);
+        assert_eq!(verdict, Some(CatalogVerdict::Fresh));
+
+        let report = csqp_verify::catalog::check_drift(&service.drift_trace(), 2);
+        assert!(report.is_clean(), "{report}");
     }
 
     #[test]

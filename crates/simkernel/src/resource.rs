@@ -99,11 +99,6 @@ impl<T> FifoServer<T> {
         (done.token, next_finish)
     }
 
-    /// Token of the request currently in service.
-    pub fn current(&self) -> Option<&T> {
-        self.in_service.as_ref().map(|(r, _)| &r.token)
-    }
-
     /// True when nothing is in service or queued.
     pub fn is_idle(&self) -> bool {
         self.in_service.is_none() && self.queue.is_empty()

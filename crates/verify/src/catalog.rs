@@ -1,11 +1,12 @@
 //! Drift-conformance pass over a recorded catalog drift trace.
 //!
-//! The serving stack replicates the catalog per shard site behind a
-//! coordinator/replica epoch model (DESIGN.md §14): mutations publish
-//! monotone epochs, replicas refresh through a fault-injectable
-//! propagation step, and every admitted query is served *fresh*,
-//! *degraded* to QS, or *rejected* according to how far its shard's
-//! replica trailed the coordinator. While catalog faults are armed the
+//! The serving stack tracks catalog staleness as epoch numbers
+//! (DESIGN.md §14): every admitted query publishes a monotone
+//! coordinator epoch, each shard's epoch (its *replica* epoch below)
+//! refreshes through a fault-injectable propagation step, and every
+//! admitted query is served *fresh*, *degraded* to QS, or *rejected*
+//! according to how far its shard trailed the coordinator. While
+//! catalog faults are armed the
 //! server records a [`DriftEvent`] trace; this pass replays that trace
 //! and proves the degradation lattice was honored:
 //!

@@ -54,9 +54,9 @@
 //! and Table-1 conformant, generations are sane, and proved costs are
 //! finite — so a memo hit can never serve what a cold optimization
 //! could not (`csqp-check --memo`). The [`catalog`] pass replays a
-//! recorded catalog drift trace and proves the replication layer's
+//! recorded catalog drift trace and proves the server drift model's
 //! degradation lattice was honored: no query served fresh past the
-//! staleness bound, no replica epoch regression ever applied, lag
+//! staleness bound, no shard epoch regression ever applied, lag
 //! accounting faithful (`csqp-check --catalog`). The [`bounds`] pass
 //! analyzes *plans* rather than machines or source text: it derives
 //! guaranteed worst-case intermediate sizes from declared unary keys

@@ -118,11 +118,12 @@ stage_pipeline_smoke() {
 }
 
 stage_catalog_chaos() {
-  # Catalog-consistency pass: seeded drift schedule replayed twice
-  # through the replication layer with identical digests, the honest
-  # trace audited by the drift-conformance pass, an epoch bump forcing
-  # memoized planning to recompute, and three seeded trace mutants each
-  # caught with their typed diagnostic.
+  # Catalog-consistency pass: 256 seeded requests replayed twice
+  # through the server's own drift model (QueryService::catalog_verdict)
+  # with identical digests and every fault kind and serve action drawn,
+  # the honest trace audited by the drift-conformance pass, a published
+  # epoch forcing the service's memoized planning to recompute, and
+  # three seeded trace mutants each caught with their typed diagnostic.
   run cargo run --release --bin csqp-check -- --catalog
   # Catalog-fault soaks: withheld/torn/reordered/poisoned epoch
   # propagation against two fresh inline servers per seed; the reply

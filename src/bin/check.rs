@@ -51,11 +51,14 @@
 //!    `csqp_verify::memo::check_memo` over every live entry
 //!    (fingerprints re-derive from witnesses, plans stay Table-1
 //!    conformant, generations and costs are sane).
-//! 7. **Catalog drift** (`--catalog`) — replay a seeded catalog-fault
-//!    schedule (withheld, torn, reordered, poisoned deliveries) against
-//!    a `ReplicatedCatalog`, twice, asserting byte-identical drift
-//!    digests; run the `csqp_verify::catalog::check_drift` pass over
-//!    the recorded trace; prove an epoch publication forces a memo
+//! 7. **Catalog drift** (`--catalog`) — feed 256 seeded DS/QS/HY
+//!    requests through `QueryService::catalog_verdict`, the server's
+//!    own drift model, with a seeded catalog-fault plan armed (withheld,
+//!    torn, reordered, poisoned deliveries), twice on fresh services,
+//!    asserting byte-identical drift digests; require every fault kind
+//!    and every serve action (fresh, degraded, rejected) to occur; run
+//!    the `csqp_verify::catalog::check_drift` pass over the recorded
+//!    trace; prove an epoch the service publishes makes its memo
 //!    recompute; and plant three seeded mutants (over-lag fresh serve,
 //!    applied epoch regression, lag misaccounting), each of which must
 //!    be caught with its typed diagnostic.
@@ -780,192 +783,127 @@ fn memo_consistency(args: &Args) -> usize {
     failures
 }
 
-/// Stage 7: seeded catalog drift replay over the replication layer, the
-/// drift-conformance pass, the epoch→memo invalidation proof, and three
-/// planted mutants that must each be caught with its typed diagnostic.
+/// Stage 7: seeded catalog drift replay through the server's own drift
+/// model (`QueryService::catalog_verdict`), the drift-conformance pass,
+/// a coverage check over every fault kind and serve action, the
+/// epoch→memo invalidation proof on the served memo, and three planted
+/// mutants that must each be caught with its typed diagnostic.
 fn catalog_consistency(args: &Args) -> usize {
-    use csqp::catalog::{CatalogEpoch, DriftAction, DriftEvent, ReplicatedCatalog};
-    use csqp::memo::{Env, MemoConfig, MemoTable};
+    use csqp::catalog::{DriftAction, DriftEvent};
     use csqp::net::chaos::{CatalogFault, FaultPlan};
     use csqp::optimizer::{CompileTimeAssumption, MemoOutcome, TwoStepPlanner};
+    use csqp::serve::load::{nth_request, LoadConfig};
     use csqp::serve::server::fnv1a;
+    use csqp::serve::{QueryService, ServerConfig};
     use csqp::verify::catalog::check_drift;
     use csqp::workload::WorkloadSpec;
 
     let mut failures = 0usize;
-    let servers = args.servers.max(1);
+    let shards = args.servers.max(1) as usize;
     let bound = 2u64;
     const QUERIES: u64 = 256;
+    let faults = FaultPlan::new(args.seed, 0.5);
+    let service = || {
+        QueryService::new(ServerConfig {
+            catalog_faults: Some(faults),
+            catalog_lag: bound,
+            event_threads: shards,
+            ..ServerConfig::default()
+        })
+    };
+    let load = LoadConfig {
+        seed: args.seed,
+        ..LoadConfig::default()
+    };
+    let requests: Vec<_> = (0..QUERIES).map(|i| nth_request(&load, 0, i)).collect();
 
-    // One full drift replay: every seeded query ticks the coordinator
-    // (withheld refreshes tick it in a burst — the same escalation the
-    // server's drift model uses), delivers or withholds a propagation
-    // step at a rotating site, and records the serve decision the
-    // degradation lattice dictates.
+    // One full drift replay: a fresh service admits the seeded DS/QS/HY
+    // mix at rotating shards, and its own drift model publishes epochs,
+    // applies the fault plan's refreshes, decides each serve and records
+    // the trace.
     let replay = || {
-        let query = ten_way();
-        let mut rng = SimRng::seed_from_u64(args.seed);
-        let base = random_placement(&query, servers, &mut rng);
-        let mut rc = ReplicatedCatalog::new(base, bound);
-        let plan = FaultPlan::new(args.seed, 0.5);
-        let mut trace: Vec<DriftEvent> = Vec::new();
-        for i in 0..QUERIES {
-            let seed = args.seed ^ i.wrapping_mul(0x9E37_79B9);
-            let fault = plan.catalog_fault_for(seed);
-            let site = SiteId::server(1 + (i % u64::from(servers)) as u32);
-            let rel = RelId((i % query.num_relations() as u64) as u32);
-            let publishes = match fault {
-                CatalogFault::WithheldRefresh => 1 + plan.catalog_rng_for(seed).derive(1).below(4),
-                _ => 1,
-            };
-            for p in 0..publishes {
-                let fraction = 0.25 + 0.5 * (((i + p as u64) % 3) as f64) / 3.0;
-                let epoch = rc.set_cached_fraction(rel, fraction);
-                trace.push(DriftEvent::Publish { epoch: epoch.0 });
-            }
-            let coord = rc.coordinator().epoch();
-            let from = rc.replica(site).map_or(0, |r| r.epoch().0);
-            match fault {
-                CatalogFault::None => {
-                    if let Some(e) = rc.propagate(site) {
-                        trace.push(DriftEvent::Refresh {
-                            site: site.0,
-                            from,
-                            to: e.0,
-                            applied: true,
-                        });
-                    }
-                }
-                CatalogFault::WithheldRefresh => {}
-                CatalogFault::TornEpoch => {
-                    // Partial delivery: the refresh lands one epoch short
-                    // of the coordinator (never behind the replica).
-                    let torn = CatalogEpoch(coord.0.saturating_sub(1).max(from));
-                    if let Some(Ok(e)) = rc.deliver_at(site, torn) {
-                        trace.push(DriftEvent::Refresh {
-                            site: site.0,
-                            from,
-                            to: e.0,
-                            applied: true,
-                        });
-                    }
-                }
-                CatalogFault::ReorderedEpoch => {
-                    // A delivery from the past arrives late; the replica
-                    // must refuse the regression.
-                    let old = CatalogEpoch(from.saturating_sub(1));
-                    match rc.deliver_at(site, old) {
-                        Some(Ok(e)) => trace.push(DriftEvent::Refresh {
-                            site: site.0,
-                            from,
-                            to: e.0,
-                            applied: true,
-                        }),
-                        _ => trace.push(DriftEvent::Refresh {
-                            site: site.0,
-                            from,
-                            to: old.0,
-                            applied: false,
-                        }),
-                    }
-                }
-                CatalogFault::PoisonedFraction => {
-                    if let Some(e) = rc.propagate(site) {
-                        trace.push(DriftEvent::Refresh {
-                            site: site.0,
-                            from,
-                            to: e.0,
-                            applied: true,
-                        });
-                    }
-                    if let Some(r) = rc.replica_mut(site) {
-                        r.poison();
-                    }
-                    trace.push(DriftEvent::Poison { site: site.0 });
-                }
-            }
-            let priced = rc.replica(site).map_or(0, |r| r.epoch().0);
-            let lag = rc.lag(site).unwrap_or(0);
-            let poisoned = rc.replica(site).is_some_and(|r| r.is_poisoned());
-            // Every third query stands in for a QS request (nothing left
-            // to downgrade to); the rest can degrade.
-            let action = if poisoned {
-                DriftAction::Degraded
-            } else if lag <= bound {
-                DriftAction::Fresh
-            } else if i % 3 == 0 {
-                DriftAction::Rejected
-            } else {
-                DriftAction::Degraded
-            };
-            trace.push(DriftEvent::Serve {
-                site: site.0,
-                priced_epoch: priced,
-                coordinator_epoch: coord.0,
-                lag,
-                action,
-            });
+        let svc = service();
+        for (i, req) in requests.iter().enumerate() {
+            let _ = svc.catalog_verdict(i % shards, req);
         }
-        let mut rendered = String::new();
-        for e in &trace {
-            rendered.push_str(&format!("{e:?};"));
-        }
-        let digest = fnv1a(rendered.as_bytes());
-        let coord = rc.coordinator().epoch().0;
-        let replica1 = rc.replica(SiteId::server(1)).map_or(0, |r| r.epoch().0);
-        (trace, digest, coord, replica1)
+        let trace = svc.drift_trace();
+        let rendered: String = trace.iter().map(|e| format!("{e:?};")).collect();
+        (trace, fnv1a(rendered.as_bytes()), svc.catalog_epoch())
     };
 
     // Same seed, same drift trajectory, byte-identical digest.
-    let (trace, digest_a, coord, replica1) = replay();
-    let (_, digest_b, ..) = replay();
+    let (trace, digest_a, coord) = replay();
+    let (_, digest_b, _) = replay();
     if digest_a != digest_b {
         eprintln!("FAIL drift replay diverged: {digest_a:016x} vs {digest_b:016x}");
         failures += 1;
     }
-    let degradations = trace
-        .iter()
-        .filter(|e| {
-            matches!(
-                e,
-                DriftEvent::Serve {
-                    action: DriftAction::Degraded | DriftAction::Rejected,
-                    ..
-                }
-            )
+
+    // The replay must reach every fault kind and every serve action, or
+    // the conformance pass below audits less than it claims.
+    let fault_counts: Vec<(&str, usize)> = std::iter::once(CatalogFault::None)
+        .chain(CatalogFault::ALL)
+        .map(|kind| {
+            let n = requests
+                .iter()
+                .filter(|r| faults.catalog_fault_for(r.seed) == kind)
+                .count();
+            (kind.name(), n)
         })
-        .count();
-    if degradations == 0 {
-        eprintln!("FAIL drift replay never exercised the degradation path");
-        failures += 1;
+        .collect();
+    let action_counts: Vec<(&str, usize)> = [
+        ("fresh", DriftAction::Fresh),
+        ("degraded", DriftAction::Degraded),
+        ("rejected", DriftAction::Rejected),
+    ]
+    .into_iter()
+    .map(|(name, want)| {
+        let n = trace
+            .iter()
+            .filter(|e| matches!(e, DriftEvent::Serve { action, .. } if *action == want))
+            .count();
+        (name, n)
+    })
+    .collect();
+    let render = |counts: &[(&str, usize)]| {
+        counts
+            .iter()
+            .map(|(name, n)| format!("{name} {n}"))
+            .collect::<Vec<_>>()
+            .join(", ")
+    };
+    for (name, n) in fault_counts.iter().chain(&action_counts) {
+        if *n == 0 {
+            eprintln!("FAIL drift replay never drew {name}");
+            failures += 1;
+        }
     }
+
     let report = check_drift(&trace, bound);
     if report.is_clean() {
         println!(
-            "catalog drift: {QUERIES} queries replayed twice with identical digest \
-             {digest_a:016x}; {} events verified clean ({} degraded/rejected, \
-             coordinator at e{coord})",
+            "catalog drift: {QUERIES} queries served through QueryService::catalog_verdict, \
+             replayed twice with identical digest {digest_a:016x}; {} events verified clean \
+             (coordinator at e{coord}); faults: {}; serves: {}",
             trace.len(),
-            degradations
+            render(&fault_counts),
+            render(&action_counts)
         );
     } else {
         eprintln!("FAIL drift-conformance pass over an honest replay:\n{report}");
         failures += report.len();
     }
 
-    // An epoch publication must force a memo recompute: this is the
-    // invalidation contract the server wires `bump_generation` to.
+    // An epoch publication must force a memo recompute: warm a memoized
+    // compile on a service's own memo, let the service publish an epoch,
+    // and the same compile must miss.
     {
-        let table = MemoTable::new(MemoConfig::default());
+        let svc = service();
         let spec = WorkloadSpec::Chain {
             n: 3,
             selectivity: MODERATE_SEL,
         };
         let query = spec.build();
-        let env = Env {
-            placement_seed: args.seed,
-            num_servers: servers.min(spec.num_relations()).max(1),
-        };
         let planner = TwoStepPlanner {
             policy: Policy::ALL[0],
             objective: Objective::Communication,
@@ -978,8 +916,8 @@ fn catalog_consistency(args: &Args) -> usize {
                     &query,
                     &SystemConfig::default(),
                     CompileTimeAssumption::Centralized,
-                    env,
-                    Some(&table),
+                    svc.memo_env(&spec),
+                    svc.memo(),
                 )
                 .1
         };
@@ -988,27 +926,33 @@ fn catalog_consistency(args: &Args) -> usize {
             eprintln!("FAIL catalog/memo warmup never hit");
             failures += 1;
         }
-        // Publish an epoch the way the coordinator does, and apply the
-        // server's wiring: publication bumps the memo generation.
-        let mut rng = SimRng::seed_from_u64(args.seed);
-        let base = random_placement(&query, servers.min(spec.num_relations()).max(1), &mut rng);
-        let mut rc = ReplicatedCatalog::new(base, bound);
-        let _ = rc.set_cached_fraction(RelId(0), 0.5);
-        table.bump_generation();
+        let _ = svc.catalog_verdict(0, &requests[0]);
         if compile() != MemoOutcome::Miss {
             eprintln!("FAIL epoch publication did not force a memo recompute");
             failures += 1;
         } else {
             println!(
-                "catalog invalidation: epoch publication bumps the memo generation and \
-                 forces a recompute"
+                "catalog invalidation: the epoch a catalog_verdict call publishes bumps the \
+                 served memo's generation and forces a recompute"
             );
         }
     }
 
     // Three planted mutants, each of which must be caught with exactly
-    // its typed diagnostic. Mutants extend the honest trace, so the
-    // reconstruction state they confront is the real one.
+    // its typed diagnostic. Mutants extend the honest trace at shard 0,
+    // so the reconstruction state they confront is the real one.
+    let shard0 = trace
+        .iter()
+        .rev()
+        .find_map(|e| match *e {
+            DriftEvent::Serve {
+                site: 0,
+                priced_epoch,
+                ..
+            } => Some(priced_epoch),
+            _ => None,
+        })
+        .unwrap_or(0);
     let mutants: [(&str, DiagCode, Vec<DriftEvent>); 3] = [
         (
             "withheld refresh served fresh past the bound",
@@ -1020,24 +964,24 @@ fn catalog_consistency(args: &Args) -> usize {
                 }
                 let new_coord = coord + bound + 1;
                 t.push(DriftEvent::Serve {
-                    site: 1,
-                    priced_epoch: replica1,
+                    site: 0,
+                    priced_epoch: shard0,
                     coordinator_epoch: new_coord,
-                    lag: new_coord - replica1,
+                    lag: new_coord - shard0,
                     action: DriftAction::Fresh,
                 });
                 t
             },
         ),
         (
-            "replica applied an epoch regression",
+            "shard applied an epoch regression",
             DiagCode::CatalogEpochRegress,
             {
                 let mut t = trace.clone();
                 t.push(DriftEvent::Refresh {
-                    site: 1,
-                    from: replica1,
-                    to: replica1.saturating_sub(1),
+                    site: 0,
+                    from: shard0,
+                    to: shard0.saturating_sub(1),
                     applied: true,
                 });
                 t
@@ -1049,21 +993,21 @@ fn catalog_consistency(args: &Args) -> usize {
             {
                 let mut t = trace.clone();
                 t.push(DriftEvent::Serve {
-                    site: 1,
-                    priced_epoch: replica1,
+                    site: 0,
+                    priced_epoch: shard0,
                     coordinator_epoch: coord,
-                    lag: (coord - replica1) + 1,
+                    lag: (coord - shard0) + 1,
                     action: DriftAction::Degraded,
                 });
                 t
             },
         ),
     ];
-    if replica1 == 0 {
-        // The regression mutant needs a replica that has refreshed at
+    if shard0 == 0 {
+        // The regression mutant needs a shard that has refreshed at
         // least once; with 256 seeded queries this cannot happen unless
         // the fault plan itself broke.
-        eprintln!("FAIL site 1 never refreshed across the whole replay");
+        eprintln!("FAIL shard 0 never refreshed across the whole replay");
         failures += 1;
     }
     for (what, code, mutated) in &mutants {

@@ -43,9 +43,9 @@
 //! the matching seeded plan, and the soak accounts every mangled reply
 //! deterministically.
 //!
-//! `--catalog-faults` arms the replicated catalog instead (requires
+//! `--catalog-faults` arms the catalog drift model instead (requires
 //! `--serve`; the soak manages its own pair of inline servers): each
-//! server drives its per-shard replica epochs from the matching seeded
+//! server drives its per-shard catalog epochs from the matching seeded
 //! plan (withheld refreshes, torn and reordered deliveries, poisoned
 //! cached-fraction snapshots), so some queries degrade to query shipping
 //! with `stale-catalog` and over-bound QS requests are rejected with a

@@ -19,8 +19,8 @@
 //! mem-bound`); when even the QS plan cannot fit, the query is rejected
 //! with the retryable `mem-bound-exceeded` error. Off by default.
 //!
-//! `--catalog-lag N` sets the replication staleness bound: the most
-//! coordinator epochs a shard's catalog replica may trail while its
+//! `--catalog-lag N` sets the catalog staleness bound: the most
+//! coordinator epochs a shard's catalog epoch may trail while its
 //! queries still serve fresh (default 3). Past the bound, queries take
 //! the typed degradation path — QS downgrade with `stale-catalog`, or a
 //! typed reject with a retry hint. The bound only matters once catalog
