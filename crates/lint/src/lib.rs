@@ -226,13 +226,6 @@ pub const ALLOWLIST: &[Allow] = &[
               server binary",
     },
     Allow {
-        path: "src/bin/load.rs",
-        rule: RuleKind::WallClock,
-        why: "--bench-reactor parks an idle-session fleet and polls the live \
-              server's session gauge until it settles before measuring; the \
-              wait bounds setup and never enters a reported rate",
-    },
-    Allow {
         path: "crates/serve/tests/loopback.rs",
         rule: RuleKind::WallClock,
         why: "integration tests bound waits on a live loopback server",
@@ -428,12 +421,6 @@ pub const ALLOWLIST: &[Allow] = &[
         rule: RuleKind::CatalogMutation,
         why: "the seeded placement generators: catalogs are their output, \
               produced before anything serves",
-    },
-    Allow {
-        path: "src/bin/check.rs",
-        rule: RuleKind::CatalogMutation,
-        why: "the memo-consistency stage builds one fixture catalog per \
-              cell to site-select against; nothing is served from them",
     },
     Allow {
         path: "examples/multi_query.rs",

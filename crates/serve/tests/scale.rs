@@ -1,7 +1,8 @@
 //! Idle-session scale: thousands of concurrent connections multiplexed
 //! on a fixed set of event-loop threads. The point of the event-driven
 //! engine is that sessions are cheap — OS thread count must not grow
-//! with session count, memory stays bounded, and a query on the last
+//! with session count, memory stays bounded, a pinned closed-loop load
+//! is served without an `epoll_ctl` storm, and a query on the last
 //! session answers promptly while every other session sits idle.
 //!
 //! One wall, on the platform reactor (`epoll` on Linux): it targets
@@ -29,7 +30,7 @@ use std::time::{Duration, Instant};
 use csqp_net::poll::raise_nofile_limit;
 use csqp_serve::load::nth_request;
 use csqp_serve::proto::{read_frame, write_frame, Frame, Hello, WireError};
-use csqp_serve::{LoadConfig, Server, ServerConfig};
+use csqp_serve::{run_load, LoadConfig, Server, ServerConfig};
 
 /// The fewest sessions the wall accepts: below this the descriptor
 /// budget is too small for the test to mean anything.
@@ -88,7 +89,8 @@ fn connect_session(addr: &str) -> TcpStream {
 
 /// Open as many idle sessions as the descriptor budget affords, then
 /// assert the engine's core claims — no thread growth, bounded RSS
-/// growth, an in-deadline answer on the last session, and a clean drain.
+/// growth, an error-free pinned load within the `epoll_ctl` budget, an
+/// in-deadline answer on the last session, and a clean drain.
 /// Connects round-robin over 127.0.0.1–.8 (the server listens on
 /// 0.0.0.0) so client-side ephemeral ports never cap the session count.
 #[test]
@@ -151,6 +153,34 @@ fn idle_session_wall_scales_to_the_descriptor_budget() {
     assert!(
         growth_kb < (count as u64) * 32,
         "RSS grew {growth_kb} kB for {count} idle sessions"
+    );
+
+    // A pinned closed-loop load, served while the idle fleet stays
+    // registered. The reactor's interest cache must keep `epoll_ctl`
+    // traffic to what interest changes need: one ADD per session (a
+    // waker per shard, the idle fleet, the load's clients), a few more
+    // per client for the handshake and the close, and two MODs per
+    // reply (write interest on, then off). A reactor that re-issues an
+    // unchanged interest adds a MOD for each of the other retunes, two
+    // or more per query, and so breaks the budget's one spare call per
+    // query. `poll` issues no ctl calls, so the budget holds trivially
+    // off Linux.
+    let load = LoadConfig {
+        addr: format!("127.0.0.1:{port}"),
+        clients: 4,
+        queries_per_client: Some(32),
+        seed: 42,
+        ..LoadConfig::default()
+    };
+    let report = run_load(&load).expect("closed-loop load");
+    assert_eq!(report.errors, 0, "the load must serve every query");
+    let ctl_calls = server.service().stats_snapshot().reactor_ctl_calls;
+    let budget = 3 * report.queries + (count + 8 * load.clients) as u64;
+    assert!(
+        ctl_calls <= budget,
+        "epoll_ctl storm: {ctl_calls} ctl calls exceed the cache budget {budget} \
+         ({} queries, {count} idle sessions)",
+        report.queries
     );
 
     // A query on the last session answers within its deadline while

@@ -64,10 +64,10 @@ stage_memo_bench() {
   # byte-identical to its cold counterpart, and the warm/cold speedup
   # must reach a third of BENCH_optimizer.json's.
   run cargo run --release -p csqp-bench --bin csqp-bench
-  # Memo-consistency pass: populate a table through the real probe path,
-  # replay every cell byte-identically, verify every entry (witness,
-  # generation, Table-1 conformance), then prove a generation bump forces
-  # recomputation.
+  # Memo-consistency pass: serve a seeded two-step batch per objective
+  # through a fresh QueryService twice; the replay must add no memo miss
+  # and return the same records, and every entry the service installed
+  # must verify (witness, generation, Table-1 conformance).
   run cargo run --release --bin csqp-check -- --memo
   # Loopback acceptance smoke: memo-on and memo-off servers serve the same
   # seeded two-step mix with byte-identical digests, hits > 0.
@@ -109,12 +109,11 @@ stage_pipeline_smoke() {
   run cargo run --release --bin csqp-load -- --serve --chaos 21 --reply-faults --schedules 2 --chaos-queries 10 --intensity 0.6
   # Idle-session scale wall on the platform reactor (epoll on Linux): at
   # least 2,000 sessions, up to 100k as the descriptor budget allows.
+  # With the idle fleet still parked, a pinned closed-loop load must
+  # serve without errors and keep the epoll_ctl count within a budget
+  # of its own query and session counts (the interest cache must make
+  # re-registration free).
   run cargo test --release -p csqp-serve --test scale -- --ignored
-  # Mixed idle+active reactor bench: parks 512 idle sessions, runs a
-  # pinned closed-loop load, gates the epoll_ctl count (the interest
-  # cache must make re-registration free), and QPS must reach a third of
-  # BENCH_reactor.json's.
-  run cargo run --release --bin csqp-load -- --serve --bench-reactor --clients 4 --queries 32 --seed 42
 }
 
 stage_catalog_chaos() {
@@ -132,16 +131,28 @@ stage_catalog_chaos() {
   for seed in 7 13 21 34; do
     run cargo run --release --bin csqp-load -- --serve --chaos "$seed" --catalog-faults --schedules 2 --chaos-queries 12 --intensity 0.6
   done
-  # Serve perf gate: pinned closed-loop run; QPS must reach a third of
-  # BENCH_serve.json's.
-  run cargo run --release --bin csqp-load -- --serve --bench-serve --clients 4 --queries 64 --seed 42
 }
 
 stage_benchmark_smoke() {
   # csqp-benchmark builds against crates/* by path, so a change to an API
   # it imports breaks here first. The smoke runs all four workloads
-  # against a real csqp-serve child and checks every reply.
-  run cargo run --release --manifest-path csqp-benchmark/Cargo.toml -- --smoke
+  # against a real csqp-serve child and checks every reply. It is the
+  # serving perf gate: each workload's throughput must reach a third of
+  # the committed BENCH_smoke.jsonl's (BENCH_smoke.bounds.json). --out
+  # appends, so the run file starts empty, and it must hold one run per
+  # BENCHMARK.json workload, because compare skips a missing workload.
+  local runs=target/bench/benchmark-smoke.jsonl
+  mkdir -p target/bench
+  rm -f "$runs"
+  run cargo run --release --manifest-path csqp-benchmark/Cargo.toml -- --smoke --out "$runs"
+  local want got
+  want=$(sed -n '/"workloads"/,/\]/p' BENCHMARK.json | grep -c '"name"')
+  got=$(wc -l < "$runs")
+  if [ "$got" -ne "$want" ]; then
+    echo "$runs has $got runs; BENCHMARK.json declares $want workloads" >&2
+    exit 1
+  fi
+  run cargo run --release --quiet --manifest-path csqp-benchmark/Cargo.toml -- compare BENCH_smoke.jsonl "$runs" --bounds BENCH_smoke.bounds.json
   run cargo test --release --manifest-path csqp-benchmark/Cargo.toml
 }
 

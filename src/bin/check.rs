@@ -44,11 +44,12 @@
 //!    time, symmetry shrink), whose state and transition counts must
 //!    equal the committed record's at the same sessions and depth.
 //!    `--budget-secs` turns the wall-time budget into a hard failure.
-//! 6. **Memo consistency** — populate a `csqp-memo` table through the
-//!    real memoized two-step entry points over a seeded spec × policy ×
-//!    objective × cache-bucket mix, replay the mix asserting every
-//!    probe hits with the byte-identical plan, then run
-//!    `csqp_verify::memo::check_memo` over every live entry
+//! 6. **Memo consistency** — serve 64 seeded two-step requests per
+//!    objective (`csqp_serve::load::nth_request`) through a fresh
+//!    `QueryService::handle_query` with the memo on, twice, requiring
+//!    every policy × objective pair to occur, the replay to add no memo
+//!    miss and return identical records; then run
+//!    `csqp_verify::memo::check_memo` over the service's memo
 //!    (fingerprints re-derive from witnesses, plans stay Table-1
 //!    conformant, generations and costs are sane).
 //! 7. **Catalog drift** (`--catalog`) — feed 256 seeded DS/QS/HY
@@ -597,188 +598,107 @@ fn system_model_check(args: &Args) -> usize {
     failures
 }
 
-/// Stage 6: memo-consistency — drive the real memoized two-step entry
-/// points over a seeded mix, replay it asserting byte-identical hits,
-/// then run the `csqp-verify` memo pass over every live entry.
+/// Stage 6: memo consistency on the memo the server fills. A fresh
+/// `QueryService` serves a seeded two-step batch per objective through
+/// `handle_query`, twice; the replay must add no memo miss and return
+/// the first sweep's records, and the `csqp-verify` memo pass must find
+/// every entry the service installed clean.
 fn memo_consistency(args: &Args) -> usize {
-    use csqp::core::CancelToken;
-    use csqp::memo::{bucket_fraction, CacheBuckets, Env, MemoConfig, MemoTable};
-    use csqp::optimizer::{CompileTimeAssumption, MemoOutcome, TwoStepPlanner};
-    use csqp::workload::WorkloadSpec;
+    use csqp::serve::load::{nth_request, LoadConfig};
+    use csqp::serve::proto::OptimizerMode;
+    use csqp::serve::{QueryService, ServerConfig};
 
-    let sys = SystemConfig::default();
-    let table = MemoTable::new(MemoConfig::default());
-    let guard = CancelToken::inert();
-    let specs = [
-        WorkloadSpec::Chain {
-            n: 3,
-            selectivity: MODERATE_SEL,
-        },
-        WorkloadSpec::Star {
-            n: 4,
-            selectivity: MODERATE_SEL,
-        },
-        WorkloadSpec::Spj {
-            n: 5,
-            join_sel: MODERATE_SEL,
-            selection: 0.2,
-            every_k: 2,
-        },
-    ];
+    const PER_OBJECTIVE: u64 = 64;
     let objectives = [
         Objective::Communication,
         Objective::ResponseTime,
         Objective::TotalCost,
     ];
-    let mut failures = 0;
-    let mut cells = 0usize;
-    let mut cold_plans = Vec::new();
-
-    // Two sweeps over the identical mix: the first populates (every
-    // probe must miss), the second must hit byte-identically.
-    for sweep in 0..2 {
-        let mut cell = 0usize;
-        for spec in &specs {
-            let query = spec.build();
-            let servers = args.servers.min(spec.num_relations()).max(1);
-            let env = Env {
-                placement_seed: args.seed,
-                num_servers: servers,
+    let service = QueryService::new(ServerConfig {
+        num_servers: args.servers,
+        memo: true,
+        ..ServerConfig::default()
+    });
+    let requests: Vec<_> = objectives
+        .iter()
+        .enumerate()
+        .flat_map(|(client, &objective)| {
+            let load = LoadConfig {
+                seed: args.seed,
+                objective,
+                optimizer: OptimizerMode::TwoStep,
+                ..LoadConfig::default()
             };
-            for policy in Policy::ALL {
-                for objective in objectives {
-                    for bucket in [0u8, 4] {
-                        let buckets = CacheBuckets::quantize(&vec![
-                            bucket_fraction(bucket);
-                            spec.num_relations() as usize
-                        ]);
-                        let mut catalog = {
-                            let mut c = csqp::catalog::Catalog::new(servers);
-                            for (i, r) in query.relations.iter().enumerate() {
-                                c.place(r.id, SiteId::server(1 + (i as u32 % servers)));
-                            }
-                            c
-                        };
-                        for (rel_index, fraction) in buckets.planning_fractions() {
-                            if (rel_index as usize) < query.relations.len() {
-                                catalog.set_cached_fraction(
-                                    query.relations[rel_index as usize].id,
-                                    fraction,
-                                );
-                            }
-                        }
-                        let planner = TwoStepPlanner {
-                            policy,
-                            objective,
-                            config: OptConfig::fast(),
-                        };
-                        let (compiled, _) = planner.compile_memoized(
-                            spec,
-                            &query,
-                            &sys,
-                            CompileTimeAssumption::Centralized,
-                            env,
-                            Some(&table),
-                        );
-                        let outcome = planner.site_select_memoized(
-                            spec,
-                            &compiled,
-                            &query,
-                            &sys,
-                            &catalog,
-                            &buckets,
-                            env,
-                            Some(&table),
-                            &guard,
-                        );
-                        let (plan, memo_outcome) = match outcome {
-                            Ok(v) => v,
-                            Err(r) => {
-                                eprintln!("FAIL memo cell #{cell} stopped: {r}");
-                                failures += 1;
-                                cell += 1;
-                                continue;
-                            }
-                        };
-                        match sweep {
-                            0 => {
-                                if memo_outcome != MemoOutcome::Miss {
-                                    eprintln!(
-                                        "FAIL memo cell #{cell}: first sweep expected a miss, \
-                                         got {memo_outcome:?}"
-                                    );
-                                    failures += 1;
-                                }
-                                cold_plans.push(plan);
-                                cells += 1;
-                            }
-                            _ => {
-                                if memo_outcome != MemoOutcome::Hit {
-                                    eprintln!(
-                                        "FAIL memo cell #{cell}: replay expected a hit, \
-                                         got {memo_outcome:?}"
-                                    );
-                                    failures += 1;
-                                } else if cold_plans[cell] != plan {
-                                    eprintln!(
-                                        "FAIL memo cell #{cell}: hit diverged from cold plan"
-                                    );
-                                    failures += 1;
-                                }
-                            }
-                        }
-                        cell += 1;
-                    }
-                }
+            (0..PER_OBJECTIVE).map(move |i| nth_request(&load, client as u64, i))
+        })
+        .collect();
+    let mut failures = 0;
+
+    // The batches must reach every policy x objective pair, or the pass
+    // below audits fewer memo groups than it claims.
+    for policy in Policy::ALL {
+        for objective in objectives {
+            if !requests
+                .iter()
+                .any(|r| r.policy == policy && r.objective == objective)
+            {
+                eprintln!("FAIL memo batches never drew {policy:?} x {objective:?}");
+                failures += 1;
             }
         }
     }
 
-    let snap = table.snapshot();
-    if snap.hits == 0 {
-        eprintln!("FAIL memo replay produced no hits");
+    // The first sweep fills the memo; the second must be served from it
+    // with the same records.
+    let sweep = || {
+        requests
+            .iter()
+            .map(|r| service.handle_query(r))
+            .collect::<Vec<_>>()
+    };
+    let cold = sweep();
+    let misses = service.stats_snapshot().memo_misses;
+    let warm = sweep();
+    let snap = service.stats_snapshot();
+    for (req, reply) in requests.iter().zip(&cold) {
+        if let Err(e) = reply {
+            eprintln!("FAIL memo request #{} was not served: {e:?}", req.id);
+            failures += 1;
+        }
+    }
+    let diverged = cold.iter().zip(&warm).filter(|(c, w)| c != w).count();
+    if diverged > 0 {
+        eprintln!("FAIL {diverged} memoized replies differ from the first sweep's");
         failures += 1;
     }
-    let report = csqp::verify::memo::check_memo(&table);
+    if snap.memo_misses != misses || snap.memo_hits == 0 {
+        eprintln!(
+            "FAIL the replay missed the memo: {} misses after the first sweep, {} after \
+             the second ({} hits)",
+            misses, snap.memo_misses, snap.memo_hits
+        );
+        failures += 1;
+    }
+
+    let Some(memo) = service.memo() else {
+        eprintln!("FAIL the service runs without its memo");
+        return failures + 1;
+    };
+    let report = csqp::verify::memo::check_memo(memo);
     if report.is_clean() {
         println!(
-            "memo consistency: {cells} cells populated and replayed byte-identically; \
-             {} entries verified clean ({} hits, {} misses, {} bytes)",
-            snap.entries, snap.hits, snap.misses, snap.bytes
+            "memo consistency: {} two-step requests served through QueryService::handle_query \
+             and replayed with identical records and no new miss; {} entries verified clean \
+             ({} hits, {} misses, {} bytes)",
+            requests.len(),
+            memo.snapshot().entries,
+            snap.memo_hits,
+            snap.memo_misses,
+            snap.memo_bytes
         );
     } else {
         eprintln!("FAIL memo-consistency pass:\n{report}");
         failures += report.len();
-    }
-
-    // A generation bump must invalidate every entry: replaying one cell
-    // now has to miss rather than serve a stale plan.
-    table.bump_generation();
-    let spec = &specs[0];
-    let query = spec.build();
-    let servers = args.servers.min(spec.num_relations()).max(1);
-    let env = Env {
-        placement_seed: args.seed,
-        num_servers: servers,
-    };
-    let planner = TwoStepPlanner {
-        policy: Policy::ALL[0],
-        objective: objectives[0],
-        config: OptConfig::fast(),
-    };
-    let (_, outcome) = planner.compile_memoized(
-        spec,
-        &query,
-        &sys,
-        CompileTimeAssumption::Centralized,
-        env,
-        Some(&table),
-    );
-    if outcome != MemoOutcome::Miss {
-        eprintln!("FAIL generation bump did not invalidate: got {outcome:?}");
-        failures += 1;
-    } else {
-        println!("memo invalidation: generation bump forces a recompute, never a stale plan");
     }
     failures
 }

@@ -9,8 +9,7 @@
 //!     [--deadline-ms D] [--pipeline N] [--serve] [--fail-on-rejects]
 //!     [--chaos SEED] [--schedules N] [--chaos-queries N] [--intensity F]
 //!     [--reply-faults] [--catalog-faults] [--memo-smoke]
-//!     [--mem-budget PAGES] [--bench-serve] [--bench-reactor]
-//!     [--idle-sessions N]
+//!     [--mem-budget PAGES]
 //! ```
 //!
 //! `--serve` spins up an in-process server on a free port and loads it —
@@ -57,30 +56,15 @@
 //! past the staleness bound, no applied epoch regression, faithful lag
 //! accounting.
 //!
-//! `--bench-serve` is the serving-stack perf artifact: a pinned seeded
-//! closed-loop run (combine with `--serve` for the self-contained CI
-//! gate) whose QPS and latency percentiles land in `BENCH_serve.json`.
-//! The run fails when throughput drops below a third of the committed
-//! record's (`csqp_json::record`, DESIGN.md §20).
-//!
-//! `--bench-reactor` is the reactor perf artifact: it spins up an inline
-//! server on the platform reactor (`epoll` on Linux, `poll` elsewhere),
-//! parks `--idle-sessions N` idle connections on it (default 512 — the
-//! mixed idle+active shape the scale suite extrapolates), drives the
-//! seeded closed-loop mix, and records QPS plus the reactor's syscall
-//! counters (wait calls/sec, events dispatched/sec) in
-//! `BENCH_reactor.json`. The run fails if throughput drops below a
-//! third of the committed record's, or if the interest cache degrades
-//! into an `epoll_ctl` storm (ctl calls are gated against the work
-//! actually done).
+//! No mode here gates a perf number: serving throughput is gated by
+//! `csqp-benchmark --smoke` against the committed `BENCH_smoke.jsonl`
+//! (the `benchmark-smoke` stage of `scripts/check.sh`, DESIGN.md §20).
 
 use std::process::ExitCode;
 use std::time::Duration;
 
 use csqp::core::Policy;
 use csqp::cost::Objective;
-use csqp::json::record::{gate_and_write, Gate};
-use csqp::json::Json;
 use csqp::net::chaos::FaultPlan;
 use csqp::serve::chaos::{run_chaos, ChaosConfig};
 use csqp::serve::proto::OptimizerMode;
@@ -93,9 +77,6 @@ struct Args {
     fail_on_rejects: bool,
     memo_smoke: bool,
     mem_budget_smoke: Option<u64>,
-    bench_serve: bool,
-    bench_reactor: bool,
-    idle_sessions: usize,
 }
 
 fn parse_args() -> Args {
@@ -106,9 +87,6 @@ fn parse_args() -> Args {
         fail_on_rejects: false,
         memo_smoke: false,
         mem_budget_smoke: None,
-        bench_serve: false,
-        bench_reactor: false,
-        idle_sessions: 512,
     };
     let mut chaos = ChaosConfig::default();
     let mut chaos_seed = None;
@@ -186,11 +164,6 @@ fn parse_args() -> Args {
             "--mem-budget" => {
                 args.mem_budget_smoke = Some(num(&raw("--mem-budget"), "--mem-budget"))
             }
-            "--bench-serve" => args.bench_serve = true,
-            "--bench-reactor" => args.bench_reactor = true,
-            "--idle-sessions" => {
-                args.idle_sessions = num(&raw("--idle-sessions"), "--idle-sessions") as usize
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: csqp-load [--addr HOST:PORT] [--clients N] [--seconds T | --queries N] \
@@ -199,8 +172,7 @@ fn parse_args() -> Args {
                      [--deadline-ms D] [--pipeline N] [--serve] [--fail-on-rejects] \
                      [--chaos SEED] [--schedules N] [--chaos-queries N] [--intensity F] \
                      [--reply-faults] [--catalog-faults] [--memo-smoke] \
-                     [--mem-budget PAGES] [--bench-serve] [--bench-reactor] \
-                     [--idle-sessions N]"
+                     [--mem-budget PAGES]"
                 );
                 std::process::exit(0);
             }
@@ -568,199 +540,8 @@ fn audit_drift(handle: &ServerHandle, bound: u64) -> Result<(), String> {
     Ok(())
 }
 
-/// The pinned serving benchmark: a seeded closed-loop run whose QPS and
-/// latency percentiles are gated against and written to
-/// `BENCH_serve.json`.
-fn run_bench_serve(load: &LoadConfig) -> Result<(), String> {
-    let queries = load.queries_per_client.unwrap_or(64);
-    let cfg = LoadConfig {
-        queries_per_client: Some(queries),
-        ..load.clone()
-    };
-    println!(
-        "csqp-load: serve bench, seed {} ({} clients x {queries} queries, closed loop)",
-        cfg.seed, cfg.clients
-    );
-    let report = run_load(&cfg).map_err(|e| format!("bench load failed: {e}"))?;
-    println!("{}", report.render());
-    if report.errors > 0 {
-        return Err(format!("bench run saw {} query errors", report.errors));
-    }
-    let written = gate_and_write(
-        "BENCH_serve.json",
-        "csqp-load --bench-serve",
-        vec![
-            ("seed", Json::from(cfg.seed)),
-            ("clients", Json::from(cfg.clients as u64)),
-            ("queries_per_client", Json::from(queries)),
-        ],
-        vec![
-            ("queries", Json::from(report.queries), Gate::Info),
-            ("rejected", Json::from(report.rejected), Gate::Info),
-            ("degraded", Json::from(report.degraded), Gate::Info),
-            ("timed_out", Json::from(report.timed_out), Gate::Info),
-            (
-                "throughput_qps",
-                Json::from(report.throughput_qps),
-                Gate::Floor,
-            ),
-            ("p50_ms", Json::from(report.p50_ms), Gate::Info),
-            ("p95_ms", Json::from(report.p95_ms), Gate::Info),
-            ("p99_ms", Json::from(report.p99_ms), Gate::Info),
-        ],
-    )?;
-    println!("{written}");
-    Ok(())
-}
-
-/// The reactor perf artifact: the pinned idle+active mix against an
-/// inline server, figures in `BENCH_reactor.json`. Gates: the committed
-/// record's QPS floor, and no `epoll_ctl` storm (the interest cache must
-/// keep ctl traffic proportional to work done, not to wait count).
-fn run_bench_reactor(load: &LoadConfig, idle: usize) -> Result<(), String> {
-    let queries = load.queries_per_client.unwrap_or(32);
-    let cfg = LoadConfig {
-        queries_per_client: Some(queries),
-        ..load.clone()
-    };
-    println!(
-        "csqp-load: reactor bench, seed {} ({} clients x {queries} queries + {idle} idle sessions)",
-        cfg.seed, cfg.clients
-    );
-    let handle = Server::bind(ServerConfig::default())
-        .and_then(|s| s.spawn())
-        .map_err(|e| format!("reactor bench server failed: {e}"))?;
-    let result = (|| {
-        // Park the idle population first, and wait for the shards to
-        // adopt every socket, so the active run's waits all happen with
-        // the full registration table in place.
-        let mut parked = Vec::with_capacity(idle);
-        for i in 0..idle {
-            parked.push(
-                std::net::TcpStream::connect(handle.addr())
-                    .map_err(|e| format!("idle connection {i} failed: {e}"))?,
-            );
-        }
-        let metrics = handle.service().metrics();
-        for _ in 0..2_000 {
-            if metrics.sessions_open() >= idle as u64 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        if metrics.sessions_open() < idle as u64 {
-            return Err(format!(
-                "only {}/{idle} idle sessions registered",
-                metrics.sessions_open()
-            ));
-        }
-        let report = run_load(&LoadConfig {
-            addr: handle.addr().to_string(),
-            ..cfg.clone()
-        })
-        .map_err(|e| format!("reactor bench load failed: {e}"))?;
-        if report.errors > 0 {
-            return Err(format!("reactor bench saw {} query errors", report.errors));
-        }
-        let snap = handle.service().stats_snapshot();
-        drop(parked);
-        Ok((report, snap))
-    })();
-    handle.shutdown();
-    let (report, snap) = result?;
-    // Syscalls per second of run wall clock, derived from the load
-    // report's own throughput (`elapsed = queries / qps`) so the bench
-    // needs no clock of its own.
-    let per_sec = |count: u64| {
-        if report.queries == 0 {
-            0.0
-        } else {
-            count as f64 * report.throughput_qps / report.queries as f64
-        }
-    };
-    println!(
-        "csqp-load: {:.1} qps, p99 {:.1} ms, {} waits ({:.1}/s), \
-         {} ctls, {} events ({:.1}/s), digest {:016x}",
-        report.throughput_qps,
-        report.p99_ms,
-        snap.reactor_wait_calls,
-        per_sec(snap.reactor_wait_calls),
-        snap.reactor_ctl_calls,
-        snap.reactor_events_dispatched,
-        per_sec(snap.reactor_events_dispatched),
-        report.digest
-    );
-    // The interest-cache regression gate: ctl traffic must be
-    // proportional to queries and session churn, never to wait count (an
-    // uncached backend would re-register the whole table every wait —
-    // idle × waits, orders of magnitude bigger). `poll` issues no ctl
-    // calls, so the gate holds trivially off Linux.
-    let budget = 8 * report.queries + 4 * (idle as u64 + cfg.clients as u64) + 64;
-    if snap.reactor_ctl_calls > budget {
-        return Err(format!(
-            "epoll_ctl storm: {} ctl calls exceed the cache budget {budget} \
-             ({} queries, {idle} idle sessions)",
-            snap.reactor_ctl_calls, report.queries
-        ));
-    }
-    let written = gate_and_write(
-        "BENCH_reactor.json",
-        "csqp-load --bench-reactor",
-        vec![
-            ("target_os", Json::from(std::env::consts::OS)),
-            ("seed", Json::from(cfg.seed)),
-            ("clients", Json::from(cfg.clients as u64)),
-            ("queries_per_client", Json::from(queries)),
-            ("idle_sessions", Json::from(idle as u64)),
-        ],
-        vec![
-            ("queries", Json::from(report.queries), Gate::Info),
-            (
-                "throughput_qps",
-                Json::from(report.throughput_qps),
-                Gate::Floor,
-            ),
-            ("p99_ms", Json::from(report.p99_ms), Gate::Info),
-            (
-                "wait_calls",
-                Json::from(snap.reactor_wait_calls),
-                Gate::Info,
-            ),
-            (
-                "wait_calls_per_sec",
-                Json::from(per_sec(snap.reactor_wait_calls)),
-                Gate::Info,
-            ),
-            ("ctl_calls", Json::from(snap.reactor_ctl_calls), Gate::Info),
-            (
-                "events_dispatched",
-                Json::from(snap.reactor_events_dispatched),
-                Gate::Info,
-            ),
-            (
-                "events_per_sec",
-                Json::from(per_sec(snap.reactor_events_dispatched)),
-                Gate::Info,
-            ),
-        ],
-    )?;
-    println!("{written}");
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let mut args = parse_args();
-
-    // The reactor bench manages its own inline server.
-    if args.bench_reactor {
-        return match run_bench_reactor(&args.load, args.idle_sessions) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("csqp-load: {msg}");
-                ExitCode::FAILURE
-            }
-        };
-    }
 
     // The memo smoke manages its own pair of inline servers.
     if args.memo_smoke {
@@ -846,22 +627,6 @@ fn main() -> ExitCode {
             Ok(())
         };
         let code = match smoke.and_then(|()| run_chaos_twice(chaos)) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => {
-                eprintln!("csqp-load: {msg}");
-                ExitCode::FAILURE
-            }
-        };
-        if let Some(handle) = inline {
-            handle.shutdown();
-        }
-        return code;
-    }
-
-    // Bench mode: a pinned closed-loop run whose figures land in
-    // BENCH_serve.json, gated against the committed record.
-    if args.bench_serve {
-        let code = match run_bench_serve(&args.load) {
             Ok(()) => ExitCode::SUCCESS,
             Err(msg) => {
                 eprintln!("csqp-load: {msg}");
