@@ -113,8 +113,8 @@ pub enum DiagCode {
     MemoCost,
     // -- catalog drift-conformance pass (`csqp-verify::catalog`) -------------
     /// A plan was served fresh (neither degraded nor rejected) from a
-    /// replica whose epoch lag exceeded the configured `max_epoch_lag`
-    /// staleness bound.
+    /// replica whose epoch lag exceeded the staleness bound the trace is
+    /// audited against (the serving side's `ServerConfig::catalog_lag`).
     CatalogStaleServed,
     /// A replica's epoch went backwards: a reordered (older) snapshot
     /// delivery was applied instead of being rejected.

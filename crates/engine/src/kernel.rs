@@ -288,11 +288,6 @@ impl Engine {
         self.events.now()
     }
 
-    /// When the last display finished, if all have.
-    pub fn finished_at(&self) -> Option<SimTime> {
-        self.finished_at
-    }
-
     /// Finish time of each registered display, in registration order.
     /// `None` entries mean the run has not completed (or deadlocked).
     pub fn display_finish_times(&self) -> Vec<Option<SimDuration>> {

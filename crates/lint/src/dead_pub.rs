@@ -3,9 +3,12 @@
 //!
 //! The rule is name-based, like every other rule in this crate: a
 //! `pub fn` counts as called when its name appears anywhere in
-//! non-test code other than a `fn` definition or a `use` declaration.
-//! Two functions that share a name therefore shield each other, which
-//! is the price of needing no type information.
+//! non-test code other than a `fn` definition, a `use` declaration, a
+//! field access (`.name` not followed by `(` or `::`) or a field or
+//! struct-literal name (`name:` not followed by another `:`). So a
+//! getter does not live on through the field it reads, but two
+//! functions that share a name still shield each other, which is the
+//! price of needing no type information.
 
 use std::collections::BTreeSet;
 
@@ -31,7 +34,7 @@ pub struct FileUse {
     /// `(line, name)` of every `pub fn` outside `#[cfg(test)]` items.
     pub defs: Vec<(usize, String)>,
     /// Every identifier the file's non-test code mentions, except the
-    /// names `fn` defines and the paths `use` imports.
+    /// names `fn` defines, the paths `use` imports, and field names.
     pub mentions: BTreeSet<String>,
 }
 
@@ -59,7 +62,7 @@ pub fn scan(stripped: &str) -> Option<FileUse> {
                 }
                 i += 1;
             }
-        } else if starts_ident(tok) {
+        } else if starts_ident(tok) && !is_field(&toks, i) {
             file.mentions.insert(tok.to_string());
         }
         i += 1;
@@ -79,6 +82,21 @@ fn is_pub(before: &[(usize, &str)]) -> bool {
         }
     }
     false
+}
+
+/// True when the identifier at `i` names a field rather than calls or
+/// paths something: an access `.name` not followed by `(` or `::`, or a
+/// declaration or struct-literal entry `name:` not followed by `:`.
+fn is_field(toks: &[(usize, &str)], i: usize) -> bool {
+    let at = |k: usize| toks.get(k).map(|t| t.1);
+    let path_or_call = match at(i + 1) {
+        Some("(") => true,
+        Some(":") => at(i + 2) == Some(":"),
+        _ => false,
+    };
+    let after_dot = i > 0 && at(i - 1) == Some(".");
+    let before_colon = at(i + 1) == Some(":") && at(i + 2) != Some(":");
+    (after_dot && !path_or_call) || before_colon
 }
 
 fn starts_ident(tok: &str) -> bool {

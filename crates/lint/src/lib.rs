@@ -178,7 +178,7 @@ pub const ALLOWLIST: &[Allow] = &[
               durations are the serving metrics, not simulated results",
     },
     Allow {
-        path: "crates/serve/src/chaos.rs",
+        path: "crates/serve/tests/support/chaos.rs",
         rule: RuleKind::WallClock,
         why: "the chaos soak budgets fault pauses and reconnect timeouts in \
               real time against a live server",
@@ -477,6 +477,19 @@ pub const ALLOWLIST: &[Allow] = &[
         rule: RuleKind::DeadPub("memoized_hash_plans"),
         why: "test probe: the optimizer's cost wall checks every memoized \
               hash layout against a direct hybrid_hash_plan call",
+    },
+    Allow {
+        path: "crates/serve/src/metrics.rs",
+        rule: RuleKind::DeadPub("sessions_open"),
+        why: "test probe: the open-session gauge is not on the STATS wire; \
+              the scale wall polls it to see every socket registered and \
+              every session released",
+    },
+    Allow {
+        path: "crates/serve/src/metrics.rs",
+        rule: RuleKind::DeadPub("lint_checks"),
+        why: "test probe: the Table-1 lint count is not on the STATS wire; \
+              the loopback tests check every served plan was linted once",
     },
     Allow {
         path: "crates/net/src/poll.rs",

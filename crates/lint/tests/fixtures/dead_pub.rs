@@ -36,6 +36,25 @@ pub fn mentioned_in_text() -> &'static str {
     "mentioned_in_text"
 }
 
+/// Counters whose field names match methods below.
+pub struct Gauge {
+    field_shielded: u64,
+    called_as_a_method: u64,
+}
+
+impl Gauge {
+    /// Flagged: the field of the same name is declared, set in a struct
+    /// literal and read, but nothing calls the method.
+    pub fn field_shielded(&self) -> u64 {
+        self.field_shielded
+    }
+
+    /// Not flagged: another crate calls the method, not only the field.
+    pub fn called_as_a_method(&self) -> u64 {
+        self.called_as_a_method
+    }
+}
+
 /// Not flagged: another crate's library calls it.
 pub fn called_from_another_crate() -> u32 {
     6
@@ -53,7 +72,11 @@ pub fn called_in_this_file() -> u32 {
 
 /// Not flagged: crate-visible only.
 pub(crate) fn crate_visible() -> u32 {
-    called_in_this_file()
+    let g = Gauge {
+        field_shielded: 1,
+        called_as_a_method: 2,
+    };
+    called_in_this_file() + g.field_shielded as u32
 }
 
 #[cfg(test)]

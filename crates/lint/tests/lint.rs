@@ -111,7 +111,9 @@ fn dead_pub_run(allows: &[Allow]) -> (Vec<String>, usize) {
         ),
         (
             "crates/other/src/lib.rs",
-            "pub use f::only_re_exported; f::called_from_another_crate();".into(),
+            "pub use f::only_re_exported; f::called_from_another_crate(); \
+             g.called_as_a_method();"
+                .into(),
         ),
         (
             "csqp-benchmark/src/main.rs",
@@ -144,6 +146,7 @@ fn dead_pub_fixture_trips_only_dead_pub() {
         "called_from_a_test_module_file",
         "only_re_exported",
         "mentioned_in_text",
+        "field_shielded",
     ];
     assert_eq!(dead_pub_run(&[]), (flagged.map(String::from).to_vec(), 0));
 
@@ -160,7 +163,7 @@ fn dead_pub_fixture_trips_only_dead_pub() {
         allow("called_in_this_file", "test oracle"),
     ];
     let (dead, stale) = dead_pub_run(&allows);
-    assert_eq!(dead, flagged[1..5]);
+    assert_eq!(dead, [&flagged[1..5], &flagged[6..]].concat());
     assert_eq!(stale, 2, "the bare reason and the entry matching nothing");
 }
 

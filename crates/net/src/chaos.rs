@@ -69,18 +69,6 @@ impl QueryFault {
         QueryFault::DisconnectAfterSubmit,
     ];
 
-    /// True when the fault ends the connection (the client closes the
-    /// socket as part of the injection).
-    pub fn drops_connection(self) -> bool {
-        matches!(
-            self,
-            QueryFault::DropBeforeSend
-                | QueryFault::DropMidFrame
-                | QueryFault::TruncateFrame
-                | QueryFault::DisconnectAfterSubmit
-        )
-    }
-
     /// Short stable name for reports and logs.
     pub fn name(self) -> &'static str {
         match self {
@@ -530,11 +518,10 @@ mod tests {
     }
 
     #[test]
-    fn disconnect_after_submit_is_schedulable_and_terminal() {
+    fn disconnect_after_submit_is_schedulable() {
         let plan = FaultPlan::new(11, 1.0);
         let seen: std::collections::HashSet<_> = plan.schedule(0, 256).into_iter().collect();
         assert!(seen.contains(&QueryFault::DisconnectAfterSubmit));
-        assert!(QueryFault::DisconnectAfterSubmit.drops_connection());
     }
 
     #[test]

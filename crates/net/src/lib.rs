@@ -106,23 +106,6 @@ impl<T> Link<T> {
         self.stats
     }
 
-    /// Data pages shipped so far — the paper's "pages sent" metric counts
-    /// exactly these (§4.1: "the number of pages sent … the average amount
-    /// of data sent over the network").
-    pub fn data_pages_sent(&self) -> u64 {
-        self.stats.data_pages_sent
-    }
-
-    /// Small control messages shipped so far (fault requests etc.).
-    pub fn control_msgs_sent(&self) -> u64 {
-        self.stats.control_msgs_sent
-    }
-
-    /// Total bytes shipped.
-    pub fn bytes_sent(&self) -> u64 {
-        self.stats.bytes_sent
-    }
-
     /// Wire utilization over `[0, now]`.
     pub fn utilization(&self, now: SimTime) -> f64 {
         self.server.utilization(now)
@@ -168,9 +151,6 @@ mod tests {
         let (m, next2) = l.finish_current(next.unwrap());
         assert_eq!(m, 3);
         assert!(next2.is_none());
-        assert_eq!(l.data_pages_sent(), 2);
-        assert_eq!(l.control_msgs_sent(), 1);
-        assert_eq!(l.bytes_sent(), 8448);
         assert_eq!(
             l.stats(),
             LinkStats {

@@ -49,7 +49,7 @@ proptest! {
         let last = done.last().unwrap().1.as_secs_f64();
         prop_assert!((last - expect).abs() < 1e-6, "{last} vs {expect}");
         // Byte accounting.
-        prop_assert_eq!(link.bytes_sent(), sizes.iter().sum::<u64>());
+        prop_assert_eq!(link.stats().bytes_sent, sizes.iter().sum::<u64>());
         prop_assert!(link.is_idle());
     }
 
@@ -74,7 +74,7 @@ proptest! {
             }
         }
         drain(&mut link, first.unwrap());
-        prop_assert_eq!(link.data_pages_sent(), pages);
-        prop_assert_eq!(link.control_msgs_sent(), kinds.len() as u64 - pages);
+        prop_assert_eq!(link.stats().data_pages_sent, pages);
+        prop_assert_eq!(link.stats().control_msgs_sent, kinds.len() as u64 - pages);
     }
 }

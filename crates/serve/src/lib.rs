@@ -20,22 +20,20 @@
 //!   query pipelining (DESIGN.md §10);
 //! - [`metrics`] — thread-safe counters behind the STATS frame;
 //! - [`load`] — the `csqp-load` client: concurrent seeded load with a
-//!   latency-percentile report;
-//! - [`chaos`] — the seeded fault-injection soak harness behind
-//!   `csqp-load --chaos`, asserting the no-panic / no-leak /
-//!   conservation / same-seed-same-digest invariants.
+//!   latency-percentile report.
+//!
+//! The seeded fault-injection soak harness lives with the integration
+//! tests that drive it (`tests/support/chaos.rs`).
 
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod chaos;
 mod engine;
 pub mod load;
 pub mod metrics;
 pub mod proto;
 pub mod server;
 
-pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use load::{run_load, IssuedQuery, LoadConfig, LoadReport, PipelineWindow};
 pub use metrics::ServerMetrics;
 pub use proto::{Frame, OptimizerMode, QueryRequest, ResultRecord, WireError};

@@ -1,7 +1,8 @@
 //! Thread-safe server-side metrics.
 //!
 //! Every worker thread records into one shared [`ServerMetrics`];
-//! [`ServerMetrics::snapshot`] produces the STATS frame payload. Counters
+//! `QueryService::stats_snapshot` reads them, with the memo and catalog
+//! counters merged in, as the STATS frame payload. Counters
 //! are atomics; the latency reservoir is a mutex-guarded vector (bounded,
 //! so a long-lived server cannot grow without limit).
 
@@ -37,10 +38,10 @@ fn policy_slot(p: Policy) -> usize {
 
 /// Shared, thread-safe service counters.
 ///
-/// The accounting invariant ([`ServerMetrics::conservation_holds`]):
-/// every submitted query lands in exactly one terminal bucket, so
-/// `submitted == served + rejected + errors + aborted + timed_out` once
-/// the pipeline drains. The chaos harness asserts this after every soak.
+/// The accounting invariant: every submitted query lands in exactly one
+/// terminal bucket, so `submitted == served + rejected + errors +
+/// aborted + timed_out` once the pipeline drains. The serve integration
+/// tests and the chaos soak assert it on the STATS snapshot.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
     submitted: AtomicU64,
@@ -180,80 +181,6 @@ impl ServerMetrics {
             .fetch_add(events_dispatched, Ordering::Relaxed);
     }
 
-    /// Reactor wait syscalls across all shards so far.
-    pub fn reactor_wait_calls(&self) -> u64 {
-        self.reactor_wait_calls.load(Ordering::Relaxed)
-    }
-
-    /// Reactor interest-mutation syscalls across all shards so far
-    /// (always zero under the `poll` backend).
-    pub fn reactor_ctl_calls(&self) -> u64 {
-        self.reactor_ctl_calls.load(Ordering::Relaxed)
-    }
-
-    /// Readiness events dispatched to shard loops so far.
-    pub fn reactor_events_dispatched(&self) -> u64 {
-        self.reactor_events_dispatched.load(Ordering::Relaxed)
-    }
-
-    /// Queries served so far.
-    pub fn queries_served(&self) -> u64 {
-        self.queries_served.load(Ordering::Relaxed)
-    }
-
-    /// Admission rejections so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
-    }
-
-    /// Non-reject errors so far.
-    pub fn errors(&self) -> u64 {
-        self.errors.load(Ordering::Relaxed)
-    }
-
-    /// QUERY frames submitted to admission control so far.
-    pub fn submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed)
-    }
-
-    /// Requests abandoned mid-flight so far.
-    pub fn aborted(&self) -> u64 {
-        self.aborted.load(Ordering::Relaxed)
-    }
-
-    /// Requests that hit their deadline so far.
-    pub fn timed_out(&self) -> u64 {
-        self.timed_out.load(Ordering::Relaxed)
-    }
-
-    /// Requests served after policy degradation so far.
-    pub fn degraded(&self) -> u64 {
-        self.degraded.load(Ordering::Relaxed)
-    }
-
-    /// Requests degraded to QS by the memory-bound admission gate so far.
-    pub fn mem_bound_degraded(&self) -> u64 {
-        self.mem_bound_degraded.load(Ordering::Relaxed)
-    }
-
-    /// Requests rejected by the memory-bound admission gate so far.
-    pub fn mem_bound_rejected(&self) -> u64 {
-        self.mem_bound_rejected.load(Ordering::Relaxed)
-    }
-
-    /// True when every submitted query has reached exactly one terminal
-    /// bucket. Only meaningful once the pipeline has drained (no query
-    /// in the queue or on a worker); the chaos harness polls STATS until
-    /// this settles.
-    pub fn conservation_holds(&self) -> bool {
-        self.submitted()
-            == self.queries_served()
-                + self.rejected()
-                + self.errors()
-                + self.aborted()
-                + self.timed_out()
-    }
-
     /// Conformance-lint executions so far. On a healthy server this
     /// equals queries served plus policy-violation errors: every plan is
     /// linted exactly once, before execution.
@@ -261,8 +188,9 @@ impl ServerMetrics {
         self.lint_checks.load(Ordering::Relaxed)
     }
 
-    /// Point-in-time snapshot for the STATS frame.
-    pub fn snapshot(&self) -> StatsSnapshot {
+    /// Point-in-time snapshot of these counters. The memo and catalog
+    /// fields read zero: `QueryService::stats_snapshot` merges them in.
+    pub(crate) fn snapshot(&self) -> StatsSnapshot {
         let sorted = {
             let samples = lock(&self.latencies_us);
             let mut s = samples.clone();
@@ -369,7 +297,6 @@ mod tests {
         assert_eq!(s.wire.bytes_sent, 3 * 4096);
         assert_eq!(s.p50_ms, 4.0);
         assert_eq!(m.lint_checks(), 1);
-        assert!(m.conservation_holds(), "7 in, 3+1+1+1+1 out");
     }
 
     #[test]
@@ -390,22 +317,10 @@ mod tests {
         let m = ServerMetrics::new();
         m.record_reactor(10, 2, 7);
         m.record_reactor(5, 0, 3);
-        assert_eq!(m.reactor_wait_calls(), 15);
-        assert_eq!(m.reactor_ctl_calls(), 2);
-        assert_eq!(m.reactor_events_dispatched(), 10);
         let s = m.snapshot();
         assert_eq!(s.reactor_wait_calls, 15);
         assert_eq!(s.reactor_ctl_calls, 2);
         assert_eq!(s.reactor_events_dispatched, 10);
-    }
-
-    #[test]
-    fn conservation_detects_leaks() {
-        let m = ServerMetrics::new();
-        m.record_submitted();
-        assert!(!m.conservation_holds(), "one query still in flight");
-        m.record_aborted();
-        assert!(m.conservation_holds());
     }
 
     #[test]

@@ -351,8 +351,8 @@ pub enum DegradeReason {
     /// query's relation list), so cache-dependent DS/HY plans had
     /// nothing sound to bind against.
     CacheUnusable,
-    /// The shard's catalog replica was beyond the configured
-    /// `max_epoch_lag` staleness bound (or its cached-fraction state was
+    /// The shard's catalog replica was beyond the staleness bound
+    /// `ServerConfig::catalog_lag` (or its cached-fraction state was
     /// poisoned) and could not refresh in time; QS plans never price the
     /// client cache, so they stay sound under stale fractions.
     StaleCatalog,
@@ -513,8 +513,10 @@ pub struct ErrorFrame {
 
 /// A point-in-time server metrics snapshot (the STATS frame).
 ///
-/// The accounting invariant the chaos harness asserts after every soak
-/// is [`StatsSnapshot::conservation_holds`].
+/// Accounting invariant: once the server has drained, every submitted
+/// query sits in exactly one terminal bucket, so `submitted ==
+/// queries_served + rejected + errors + aborted + timed_out`. The serve
+/// integration tests and the chaos soak assert it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsSnapshot {
     /// QUERY frames decoded and handed to admission control.
@@ -577,17 +579,6 @@ pub struct StatsSnapshot {
     pub reactor_ctl_calls: u64,
     /// Readiness events dispatched to shard event loops.
     pub reactor_events_dispatched: u64,
-}
-
-impl StatsSnapshot {
-    /// The accounting invariant, `submitted == queries_served +
-    /// rejected + errors + aborted + timed_out`: every admitted query
-    /// ended in exactly one terminal bucket. Only meaningful once the
-    /// server has drained; the chaos harness polls STATS until it settles.
-    pub fn conservation_holds(&self) -> bool {
-        self.submitted
-            == self.queries_served + self.rejected + self.errors + self.aborted + self.timed_out
-    }
 }
 
 /// One protocol frame.

@@ -357,8 +357,8 @@ impl QueryService {
     /// (faults unarmed) means the drift layer is inert. Every epoch it
     /// publishes bumps the memo generation, and the events it decides
     /// are appended to [`drift_trace`](Self::drift_trace). The shard
-    /// event loop calls it at admission; `csqp-check --catalog` calls
-    /// it directly. Soaks that assert digest equality run queries
+    /// event loop calls it at admission; `csqp-check`'s catalog stage
+    /// calls it directly. Soaks that assert digest equality run queries
     /// sequentially, which makes the whole drift trajectory a pure
     /// function of the request stream.
     pub fn catalog_verdict(&self, shard: usize, req: &QueryRequest) -> Option<CatalogVerdict> {
@@ -479,11 +479,8 @@ impl QueryService {
         Some(verdict)
     }
 
-    /// Queries admitted but not yet finished (queued + executing).
-    pub fn inflight(&self) -> u64 {
-        self.inflight.load(Ordering::Acquire)
-    }
-
+    /// Count one query admitted (queued + executing until
+    /// [`end_inflight`](Self::end_inflight)); returns the count before it.
     pub(crate) fn begin_inflight(&self) -> u64 {
         self.inflight.fetch_add(1, Ordering::AcqRel)
     }
@@ -578,8 +575,8 @@ impl QueryService {
         // every declared key against the query's own statistics and
         // falls back to the product rule for any it cannot justify, so a
         // hostile over-declaration can never tighten a bound unsoundly
-        // (it only risks a `bound-key-unsound` diagnostic in --bounds
-        // sweeps). Indices were validated at decode.
+        // (it only risks a `bound-key-unsound` diagnostic in `csqp-check`'s
+        // bounds sweeps). Indices were validated at decode.
         if let Some(keys) = &req.keys {
             for (i, r) in query.relations.iter_mut().enumerate() {
                 r.key = keys.binary_search(&(i as u32)).is_ok();

@@ -13,7 +13,10 @@
 // Tests panic on broken setup by design.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use csqp_serve::{run_chaos, run_load, ChaosConfig, LoadConfig, Server, ServerConfig};
+mod support;
+
+use csqp_serve::{run_load, LoadConfig, Server, ServerConfig};
+use support::chaos::{run_chaos, ChaosConfig};
 
 /// Golden digests recorded from the threaded engine: seeded load runs
 /// (4 clients × 4 queries), by load seed.
@@ -67,9 +70,9 @@ fn seeded_load_digests_match_the_threaded_goldens() {
         );
         assert_eq!(r.per_policy, per_policy, "same mix, same policy split");
     }
-    let m = server.metrics();
-    assert!(m.conservation_holds());
-    assert_eq!(m.queries_served(), 32);
+    let stats = server.service().stats_snapshot();
+    assert!(support::conserved(&stats));
+    assert_eq!(stats.queries_served, 32);
     server.shutdown();
 }
 
@@ -117,7 +120,7 @@ fn reply_faults_mangle_identically_to_the_threaded_golden() {
     .expect("bind loopback")
     .spawn()
     .expect("spawn server");
-    let r = run_chaos(&ChaosConfig {
+    let cfg = ChaosConfig {
         addr: server.addr().to_string(),
         seed,
         schedules: 2,
@@ -125,8 +128,8 @@ fn reply_faults_mangle_identically_to_the_threaded_golden() {
         intensity,
         reply_faults: true,
         ..ChaosConfig::default()
-    })
-    .expect("chaos soak");
+    };
+    let r = run_chaos(&cfg).expect("chaos soak");
     let (digest, replies, dropped, mangled, sent) = FAULT_GOLDEN;
     assert!(r.healthy(), "engine healthy:\n{}", r.render());
     assert!(r.mangled > 0, "engine mangled replies");
@@ -147,6 +150,16 @@ fn reply_faults_mangle_identically_to_the_threaded_golden() {
     assert_eq!(
         (r.replies, r.dropped, r.mangled, r.queries_sent),
         (replies, dropped, mangled, sent)
+    );
+    // Again on the same server: the mangle schedule keys on request
+    // seeds only, so the warm server reproduces the golden too.
+    let again = run_chaos(&cfg).expect("repeat chaos soak");
+    assert!(again.healthy(), "engine healthy:\n{}", again.render());
+    assert_eq!(
+        (again.digest, again.replies, again.dropped, again.mangled),
+        (digest, replies, dropped, mangled),
+        "the repeat on one server must match the golden too\n{}",
+        again.render()
     );
     server.shutdown();
 }

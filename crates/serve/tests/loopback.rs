@@ -10,6 +10,8 @@
 // Tests panic on broken setup by design.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod support;
+
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -63,15 +65,14 @@ fn loopback_load_serves_queries_deterministically() {
 
     // Server-side accounting saw every query, and the Table-1
     // conformance lint ran on the serve path for each of them.
-    let metrics = server.metrics();
-    assert_eq!(metrics.queries_served(), 36);
-    assert_eq!(metrics.errors(), 0);
+    let snap = server.service().stats_snapshot();
+    assert_eq!(snap.queries_served, 36);
+    assert_eq!(snap.errors, 0);
     assert_eq!(
-        metrics.lint_checks(),
+        server.metrics().lint_checks(),
         36,
         "every served plan was linted before execution"
     );
-    let snap = metrics.snapshot();
     assert_eq!(snap.per_policy.iter().sum::<u64>(), 36);
     assert!(snap.wire.bytes_sent > 0, "queries shipped bytes: {snap:?}");
 
@@ -145,8 +146,11 @@ fn stats_and_error_frames_work_over_the_wire() {
     }
 
     // A client sending a server-to-client frame gets a typed error.
-    let reply =
-        roundtrip(&mut stream, &Frame::Stats(server.metrics().snapshot())).expect("bad direction");
+    let reply = roundtrip(
+        &mut stream,
+        &Frame::Stats(server.service().stats_snapshot()),
+    )
+    .expect("bad direction");
     match reply {
         Frame::Error(e) => assert_eq!(e.code, ErrorCode::BadRequest),
         other => panic!("expected ERROR, got {:?}", other.kind()),
@@ -194,7 +198,7 @@ fn saturated_server_rejects_with_retry_hint() {
         report.rejected > 0,
         "a 1-deep queue under an 8-client burst must reject: {report:?}"
     );
-    assert_eq!(server.metrics().rejected(), report.rejected);
+    assert_eq!(server.service().stats_snapshot().rejected, report.rejected);
     server.shutdown();
 }
 
@@ -230,17 +234,25 @@ fn zero_deadline_gets_typed_error_and_releases_the_worker() {
     let reply = roundtrip(&mut stream, &Frame::Query(nth_request(&cfg, 0, 1))).expect("follow-up");
     assert!(matches!(reply, Frame::Result(_)), "worker was released");
 
-    let metrics = server.metrics();
-    assert_eq!(metrics.timed_out(), 1);
-    assert_eq!(metrics.queries_served(), 1);
-    assert!(metrics.conservation_holds(), "2 in, 1 served + 1 timed out");
+    let stats = server.service().stats_snapshot();
+    assert_eq!(stats.timed_out, 1);
+    assert_eq!(stats.queries_served, 1);
+    assert!(support::conserved(&stats), "2 in, 1 served + 1 timed out");
     let _ = roundtrip(&mut stream, &Frame::Bye);
     server.shutdown();
 }
 
 #[test]
 fn client_disconnect_mid_query_never_leaks_accounting() {
-    let server = start_server();
+    // High-water 1: a leaked in-flight slot would degrade every later
+    // admission, so the probe below sees any leak on the wire.
+    let server = Server::bind(ServerConfig {
+        high_water: Some(1),
+        ..ServerConfig::default()
+    })
+    .expect("bind")
+    .spawn()
+    .expect("spawn");
     let cfg = load_config(&server.addr().to_string(), 77);
 
     // Send a valid query and slam the connection shut without reading
@@ -252,24 +264,28 @@ fn client_disconnect_mid_query_never_leaks_accounting() {
     drop(stream);
 
     // Settle within a few read-timeout ticks (the default is 200 ms).
-    let metrics = server.metrics();
     let give_up = std::time::Instant::now() + Duration::from_secs(3);
-    while !(metrics.conservation_holds() && metrics.submitted() == 1) {
+    loop {
+        let stats = server.service().stats_snapshot();
+        if support::conserved(&stats) && stats.submitted == 1 {
+            break;
+        }
         assert!(
             std::time::Instant::now() < give_up,
-            "accounting never settled: submitted {} served {} aborted {}",
-            metrics.submitted(),
-            metrics.queries_served(),
-            metrics.aborted()
+            "accounting never settled: {stats:?}"
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert_eq!(server.service().inflight(), 0, "no leaked worker slot");
 
-    // The pool still serves a fresh connection afterwards.
+    // The pool still serves a fresh connection afterwards, and at the
+    // requested policy: no in-flight slot leaked past high-water.
     let mut probe = TcpStream::connect(server.addr()).expect("reconnect");
-    let reply = roundtrip(&mut probe, &Frame::Query(nth_request(&cfg, 1, 0))).expect("probe query");
-    assert!(matches!(reply, Frame::Result(_)));
+    let mut req = nth_request(&cfg, 1, 0);
+    req.policy = Policy::HybridShipping;
+    match roundtrip(&mut probe, &Frame::Query(req)).expect("probe query") {
+        Frame::Result(r) => assert_eq!(r.degraded_from, None, "no leaked in-flight slot"),
+        other => panic!("expected RESULT, got {:?}", other.kind()),
+    }
     server.shutdown();
 }
 
@@ -296,14 +312,14 @@ fn unusable_cache_degrades_on_the_wire_and_passes_the_lint() {
         }
         other => panic!("expected degraded RESULT, got {:?}", other.kind()),
     }
-    let metrics = server.metrics();
-    assert_eq!(metrics.degraded(), 1);
+    let stats = server.service().stats_snapshot();
+    assert_eq!(stats.degraded, 1);
     assert_eq!(
-        metrics.lint_checks(),
+        server.metrics().lint_checks(),
         1,
         "the degraded plan went through the conformance lint"
     );
-    assert!(metrics.conservation_holds());
+    assert!(support::conserved(&stats));
     let _ = roundtrip(&mut stream, &Frame::Bye);
     server.shutdown();
 }
@@ -339,9 +355,54 @@ fn saturation_degrades_to_query_shipping_under_burst() {
         report.degraded > 0,
         "an 8-client burst over high-water 1 must overlap: {report:?}"
     );
-    assert_eq!(server.metrics().degraded(), report.degraded);
-    assert!(server.metrics().conservation_holds());
+    let stats = server.service().stats_snapshot();
+    assert_eq!(stats.degraded, report.degraded);
+    assert!(support::conserved(&stats));
     server.shutdown();
+}
+
+#[test]
+fn mem_budget_gate_degrades_over_the_wire_and_leaves_qs_untouched() {
+    // The guaranteed-bound admission gate (DESIGN.md §16) end to end: a
+    // server starved to a 300-page client budget serves an all-QS mix
+    // byte-identically to an unbudgeted one (a QS plan joins at the
+    // servers, so its footprint is the result bound alone, and the
+    // digest folds the degrade fields too), then degrades the DS/HY
+    // plans of a mixed mix to QS with `mem-bound`, error-free.
+    let starved = Server::bind(ServerConfig {
+        mem_budget_pages: Some(300),
+        ..ServerConfig::default()
+    })
+    .expect("bind")
+    .spawn()
+    .expect("spawn");
+    let honest = start_server();
+    let mix = |addr: std::net::SocketAddr, policy| LoadConfig {
+        clients: 2,
+        queries_per_client: Some(6),
+        policy,
+        ..load_config(&addr.to_string(), 42)
+    };
+    let qs = Some(Policy::QueryShipping);
+    let gated = run_load(&mix(starved.addr(), qs)).expect("starved QS load");
+    let ungated = run_load(&mix(honest.addr(), qs)).expect("unbudgeted QS load");
+    assert_eq!(
+        (gated.errors, gated.rejected, ungated.errors),
+        (0, 0, 0),
+        "the QS mix passes the gate untouched: {gated:?}"
+    );
+    assert_eq!(gated.digest, ungated.digest, "the gate never touches QS");
+
+    let mixed = run_load(&mix(starved.addr(), None)).expect("starved mixed load");
+    assert_eq!(mixed.errors, 0, "{mixed:?}");
+    let stats = starved.service().stats_snapshot();
+    assert!(
+        stats.mem_bound_degraded > 0,
+        "a 300-page budget must degrade some DS/HY plan: {stats:?}"
+    );
+    assert!(support::conserved(&stats), "{stats:?}");
+    starved.shutdown();
+    honest.shutdown();
 }
 
 #[test]

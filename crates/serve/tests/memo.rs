@@ -37,38 +37,44 @@ fn two_step_load(addr: &str, clients: usize, per_client: u64) -> LoadConfig {
 
 #[test]
 fn memo_on_off_serve_identical_digests_over_loopback() {
-    // The ISSUE's acceptance smoke: the same seeded mix against a
-    // memo-enabled and a memo-disabled server produces byte-identical
-    // result digests; only the STATS counters differ.
-    let on = start(ServerConfig::default());
-    let off = start(ServerConfig {
-        memo: false,
-        ..ServerConfig::default()
-    });
+    // The same seeded mix against a memo-enabled and a memo-disabled
+    // server produces byte-identical result digests; only the STATS
+    // counters differ. Two mixes: this file's, and the load
+    // generator's default seed.
+    for seed in [0x3E_A10, LoadConfig::default().seed] {
+        let on = start(ServerConfig::default());
+        let off = start(ServerConfig {
+            memo: false,
+            ..ServerConfig::default()
+        });
+        let load = |server: &ServerHandle| LoadConfig {
+            seed,
+            ..two_step_load(&server.addr().to_string(), 4, 6)
+        };
 
-    let report_on = run_load(&two_step_load(&on.addr().to_string(), 4, 6)).expect("memo-on load");
-    let report_off =
-        run_load(&two_step_load(&off.addr().to_string(), 4, 6)).expect("memo-off load");
-    assert_eq!(report_on.queries, 24);
-    assert_eq!(report_off.queries, 24);
-    assert_eq!(report_on.errors + report_off.errors, 0);
-    assert_eq!(
-        report_on.digest, report_off.digest,
-        "memo hits must replay the exact plan the cold path would build"
-    );
+        let report_on = run_load(&load(&on)).expect("memo-on load");
+        let report_off = run_load(&load(&off)).expect("memo-off load");
+        assert_eq!(report_on.queries, 24);
+        assert_eq!(report_off.queries, 24);
+        assert_eq!(report_on.errors + report_off.errors, 0);
+        assert_eq!(
+            report_on.digest, report_off.digest,
+            "seed {seed:#x}: memo hits must replay the exact plan the cold path would build"
+        );
 
-    let snap_on = on.service().stats_snapshot();
-    let snap_off = off.service().stats_snapshot();
-    assert!(
-        snap_on.memo_hits > 0,
-        "a 24-query repeated mix must hit the memo: {snap_on:?}"
-    );
-    assert!(snap_on.memo_bytes > 0, "installed entries occupy bytes");
-    assert_eq!(snap_off.memo_hits, 0, "disabled memo is never consulted");
-    assert_eq!(snap_off.memo_bytes, 0);
+        let snap_on = on.service().stats_snapshot();
+        let snap_off = off.service().stats_snapshot();
+        assert!(
+            snap_on.memo_hits > 0,
+            "seed {seed:#x}: a 24-query repeated mix must hit the memo: {snap_on:?}"
+        );
+        assert!(snap_on.memo_bytes > 0, "installed entries occupy bytes");
+        assert_eq!(snap_off.memo_hits, 0, "disabled memo is never consulted");
+        assert_eq!(snap_off.memo_bytes, 0);
 
-    on.shutdown();
-    off.shutdown();
+        on.shutdown();
+        off.shutdown();
+    }
 }
 
 #[test]

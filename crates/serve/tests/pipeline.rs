@@ -6,6 +6,8 @@
 // Tests panic on broken setup by design.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod support;
+
 use std::net::TcpStream;
 use std::time::Instant;
 
@@ -107,10 +109,10 @@ fn a_full_window_of_queries_on_one_connection_answers_every_id() {
     expected_ids.sort_unstable();
     assert_eq!(answered, expected_ids, "each reply matches an issued id");
 
-    let metrics = server.metrics();
-    assert_eq!(metrics.submitted(), depth as u64);
-    assert_eq!(metrics.queries_served(), depth as u64);
-    assert!(metrics.conservation_holds());
+    let stats = server.service().stats_snapshot();
+    assert_eq!(stats.submitted, depth as u64);
+    assert_eq!(stats.queries_served, depth as u64);
+    assert!(support::conserved(&stats));
     server.shutdown();
 }
 
@@ -149,10 +151,10 @@ fn mid_pipeline_deadline_expiry_fails_only_its_own_query() {
     assert_eq!(expired, vec![2], "only the expired query fails (id 2)");
     assert_eq!(served, vec![1, 3], "its neighbors are unaffected");
 
-    let metrics = server.metrics();
-    assert_eq!(metrics.timed_out(), 1);
-    assert_eq!(metrics.queries_served(), 2);
-    assert!(metrics.conservation_holds());
+    let stats = server.service().stats_snapshot();
+    assert_eq!(stats.timed_out, 1);
+    assert_eq!(stats.queries_served, 2);
+    assert!(support::conserved(&stats));
     server.shutdown();
 }
 
@@ -194,10 +196,10 @@ fn over_window_queries_are_rejected_saturated() {
     assert_eq!(served, vec![1], "the in-window query serves");
     assert_eq!(rejected, vec![2], "the over-window query is rejected");
 
-    let metrics = server.metrics();
-    assert_eq!(metrics.submitted(), 2);
-    assert_eq!(metrics.rejected(), 1);
-    assert!(metrics.conservation_holds());
+    let stats = server.service().stats_snapshot();
+    assert_eq!(stats.submitted, 2);
+    assert_eq!(stats.rejected, 1);
+    assert!(support::conserved(&stats));
     server.shutdown();
 }
 
@@ -205,26 +207,31 @@ fn over_window_queries_are_rejected_saturated() {
 fn pipelined_and_sequential_loads_produce_the_same_digest() {
     let server = spawn(ServerConfig::default());
     let addr = server.addr().to_string();
-    let base = LoadConfig {
-        addr,
-        clients: 3,
-        queries_per_client: Some(4),
-        seed: 0x5EED,
-        ..LoadConfig::default()
-    };
-    let sequential = run_load(&base).expect("stop-and-wait run");
-    let pipelined = run_load(&LoadConfig {
-        pipeline: 8,
-        ..base.clone()
-    })
-    .expect("pipelined run");
-    assert_eq!(sequential.queries, 12);
-    assert_eq!(pipelined.queries, 12);
-    assert_eq!(pipelined.errors, 0, "{pipelined:?}");
-    assert_eq!(
-        sequential.digest, pipelined.digest,
-        "same seed, same results, any reply order"
-    );
+    // (seed, clients, queries per client); 0xC59D is the load
+    // generator's default seed.
+    for (seed, clients, per_client) in [(0x5EED, 3, 4), (0xC59D, 4, 6), (13, 4, 6)] {
+        let base = LoadConfig {
+            addr: addr.clone(),
+            clients,
+            queries_per_client: Some(per_client),
+            seed,
+            ..LoadConfig::default()
+        };
+        let sequential = run_load(&base).expect("stop-and-wait run");
+        let pipelined = run_load(&LoadConfig {
+            pipeline: 8,
+            ..base.clone()
+        })
+        .expect("pipelined run");
+        let total = clients as u64 * per_client;
+        assert_eq!(sequential.queries, total, "seed {seed}");
+        assert_eq!(pipelined.queries, total, "seed {seed}");
+        assert_eq!(sequential.errors + pipelined.errors, 0, "{pipelined:?}");
+        assert_eq!(
+            sequential.digest, pipelined.digest,
+            "seed {seed}: same results, any reply order"
+        );
+    }
     server.shutdown();
 }
 

@@ -24,6 +24,8 @@
 // Tests panic on broken setup by design.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod support;
+
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -223,6 +225,6 @@ fn idle_session_wall_scales_to_the_descriptor_budget() {
         );
         std::thread::sleep(Duration::from_millis(20));
     }
-    assert!(metrics.conservation_holds());
+    assert!(support::conserved(&server.service().stats_snapshot()));
     server.shutdown();
 }

@@ -1,7 +1,8 @@
 //! Chaos soak harness: drive a live server through seeded fault
 //! injection and check the robustness invariants afterwards.
 //!
-//! The harness replays the same seeded workload mix as [`crate::load`],
+//! The harness replays the same seeded workload mix as
+//! [`csqp_serve::load`],
 //! but routes every exchange through a [`FaultPlan`]: some queries are
 //! sent clean, others are truncated, corrupted, dribbled out in short
 //! writes, paced, or abandoned mid-frame. Schedules run **sequentially**
@@ -21,7 +22,7 @@
 //! planning time and make replies timing-dependent.
 //!
 //! Reply-path faults: when the server under test is configured with
-//! [`crate::ServerConfig::reply_faults`] =
+//! [`csqp_serve::ServerConfig::reply_faults`] =
 //! `FaultPlan::new(cfg.seed, cfg.intensity)` and the soak sets
 //! [`ChaosConfig::reply_faults`], the harness expects some replies to
 //! arrive truncated or corrupted. A reply that no longer decodes counts
@@ -39,11 +40,11 @@ use csqp_net::chaos::{
 };
 use csqp_simkernel::rng::SimRng;
 
-use crate::load::{nth_request, LoadConfig};
-use crate::proto::{
+use csqp_serve::load::{nth_request, LoadConfig};
+use csqp_serve::proto::{
     read_frame, write_frame, ErrorCode, Frame, Hello, StatsSnapshot, WireError, HEADER_LEN,
 };
-use crate::server::fnv1a;
+use csqp_serve::server::fnv1a;
 
 /// Client-side read timeout during the soak; `read_frame` rides these as
 /// typed [`WireError::TimedOut`] and the harness retries up to
@@ -87,7 +88,7 @@ pub struct ChaosConfig {
     pub reply_faults: bool,
     /// The server under test injects catalog-propagation faults from
     /// `FaultPlan::new(seed, intensity)` (see
-    /// [`crate::ServerConfig::catalog_faults`]): withheld refreshes,
+    /// [`csqp_serve::ServerConfig::catalog_faults`]): withheld refreshes,
     /// torn and reordered epoch deliveries, poisoned cached-fraction
     /// snapshots. Stale-catalog rejects and QS downgrades are then
     /// expected, and the caller should audit the recorded drift trace
@@ -147,7 +148,7 @@ impl ChaosReport {
         self.conservation && self.probes_ok && self.client_errors == 0
     }
 
-    /// Render the human report printed by `csqp-load --chaos`.
+    /// Render the human report a failing assertion prints.
     pub fn render(&self) -> String {
         format!(
             "exchanges {}\nreplies   {}\ndropped   {}\nmangled   {}\nfaults    {}\nclient-io-errors {}\nserver    submitted {}  served {}  rejected {}  errors {}  aborted {}  timed-out {}  degraded {}\nconservation {}\nprobes    {}\ndigest    {:016x}",
@@ -319,7 +320,7 @@ fn settle(stream: &mut TcpStream, timeout: Duration) -> Result<(StatsSnapshot, b
                 ))));
             }
         };
-        let settled = stats.conservation_holds();
+        let settled = super::conserved(&stats);
         if settled || Instant::now() >= give_up {
             return Ok((stats, settled));
         }
@@ -366,12 +367,13 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, WireError> {
                     replies += 1;
                     digest = fold_reply(digest, schedule, index, &reply);
                     // A BadFrame reply means the server no longer trusts
-                    // this byte stream and has hung up.
+                    // this byte stream and has hung up. (The faults that
+                    // close the socket themselves never get a reply.)
                     let hung_up = matches!(
                         &reply,
                         Frame::Error(e) if e.code == ErrorCode::BadFrame
                     );
-                    if hung_up || fault.drops_connection() {
+                    if hung_up {
                         conn = None;
                     }
                 }
@@ -444,119 +446,4 @@ pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, WireError> {
         conservation,
         probes_ok,
     })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::server::{Server, ServerConfig};
-
-    fn spawn_server() -> crate::server::ServerHandle {
-        let config = ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            queue_depth: 8,
-            ..ServerConfig::default()
-        };
-        Server::bind(config)
-            .expect("bind loopback")
-            .spawn()
-            .expect("spawn server")
-    }
-
-    #[test]
-    fn short_soak_holds_all_invariants() {
-        let server = spawn_server();
-        let cfg = ChaosConfig {
-            addr: server.addr().to_string(),
-            schedules: 2,
-            queries_per_schedule: 8,
-            intensity: 0.6,
-            ..ChaosConfig::default()
-        };
-        let report = run_chaos(&cfg).expect("soak completes");
-        assert_eq!(report.queries_sent, 16);
-        assert!(
-            report.conservation,
-            "accounting must settle:\n{}",
-            report.render()
-        );
-        assert!(
-            report.probes_ok,
-            "workers must survive:\n{}",
-            report.render()
-        );
-        assert_eq!(report.client_errors, 0);
-        assert!(
-            report.faults > 0,
-            "intensity 0.6 over 16 draws injects something"
-        );
-        server.shutdown();
-    }
-
-    #[test]
-    fn reply_fault_soak_accounts_every_exchange() {
-        let seed = 0xFEED_FACE;
-        let intensity = 0.7;
-        let config = ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            queue_depth: 8,
-            reply_faults: Some(FaultPlan::new(seed, intensity)),
-            ..ServerConfig::default()
-        };
-        let server = Server::bind(config)
-            .expect("bind loopback")
-            .spawn()
-            .expect("spawn server");
-        let cfg = ChaosConfig {
-            addr: server.addr().to_string(),
-            seed,
-            intensity,
-            schedules: 2,
-            queries_per_schedule: 10,
-            reply_faults: true,
-            ..ChaosConfig::default()
-        };
-        let report = run_chaos(&cfg).expect("soak completes");
-        assert!(
-            report.mangled > 0,
-            "intensity 0.7 mangles something in 20 replies:\n{}",
-            report.render()
-        );
-        assert_eq!(
-            report.replies + report.dropped + report.mangled,
-            report.queries_sent,
-            "every exchange lands in exactly one bucket:\n{}",
-            report.render()
-        );
-        assert!(
-            report.healthy(),
-            "server stays healthy:\n{}",
-            report.render()
-        );
-        // Mangled replies are deterministic too: same seed, same digest.
-        let again = run_chaos(&cfg).expect("second soak");
-        assert_eq!(report.digest, again.digest);
-        assert_eq!(report.mangled, again.mangled);
-        server.shutdown();
-    }
-
-    #[test]
-    fn same_seed_same_digest() {
-        let server = spawn_server();
-        let cfg = ChaosConfig {
-            addr: server.addr().to_string(),
-            schedules: 2,
-            queries_per_schedule: 6,
-            intensity: 0.5,
-            ..ChaosConfig::default()
-        };
-        let a = run_chaos(&cfg).expect("first soak");
-        let b = run_chaos(&cfg).expect("second soak");
-        assert_eq!(a.digest, b.digest, "replies are pure in the seed");
-        assert_eq!(a.replies, b.replies);
-        assert_eq!(a.dropped, b.dropped);
-        server.shutdown();
-    }
 }

@@ -41,7 +41,7 @@
 //! - **dynamic soundness checking** ([`check_plan`]): executes the
 //!   engine's per-operator output convention and asserts actual ≤ bound
 //!   on every operator edge, reporting [`DiagCode::BoundViolated`]
-//!   otherwise. `csqp-check --bounds` sweeps this across seeded plans
+//!   otherwise. `csqp-check`'s bounds stage sweeps this across seeded plans
 //!   for every policy × objective.
 
 use csqp_catalog::{try_pages_for, QuerySpec, RelSet};

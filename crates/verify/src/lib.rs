@@ -53,18 +53,18 @@
 //! re-derive from their witnesses, stored plans stay structurally valid
 //! and Table-1 conformant, generations are sane, and proved costs are
 //! finite — so a memo hit can never serve what a cold optimization
-//! could not (`csqp-check --memo`). The [`catalog`] pass replays a
+//! could not (`csqp-check`'s memo stage). The [`catalog`] pass replays a
 //! recorded catalog drift trace and proves the server drift model's
 //! degradation lattice was honored: no query served fresh past the
 //! staleness bound, no shard epoch regression ever applied, lag
-//! accounting faithful (`csqp-check --catalog`). The [`bounds`] pass
+//! accounting faithful (`csqp-check`'s catalog stage). The [`bounds`] pass
 //! analyzes *plans* rather than machines or source text: it derives
 //! guaranteed worst-case intermediate sizes from declared unary keys
 //! (sound rules: selection never grows, a join on a key of one side is
 //! bounded by the other side, product fallback), audits the key
 //! declarations against the query's own statistics, and dynamically
 //! asserts executed actual ≤ static bound on every operator edge
-//! (`csqp-check --bounds`). The serve layer's `--mem-budget` admission
+//! (`csqp-check`'s bounds stage). The serve layer's `--mem-budget` admission
 //! gate consumes these bounds.
 
 #![warn(missing_docs)]

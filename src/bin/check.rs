@@ -3,13 +3,13 @@
 //!
 //! ```text
 //! cargo run --release --bin csqp-check -- [--plans N] [--servers M] [--seed S]
-//!     [--protocol] [--system] [--memo] [--catalog] [--bounds] [--sessions N]
-//!     [--depth D] [--budget-secs S]
+//!     [--protocol] [--system] [--sessions N] [--depth D] [--budget-secs S]
 //! ```
 //!
-//! Six stages, any failure exits non-zero (`--protocol` runs only
-//! stage 4, `--system` only stage 5, and `--memo` only stage 6 — the
-//! modes the CI `lint-and-model` and `memo-bench` jobs use):
+//! Eight stages, any failure exits non-zero. With no mode flag all of
+//! them run; `--protocol` runs only stage 4 and `--system` only
+//! stage 5, the two deeper model checks the `check` stage of
+//! `scripts/check.sh` adds after the full sweep:
 //!
 //! 1. **Positive sweep** — `--plans` (default 1000) random plans per
 //!    policy, drawn across the paper's 2-way, 10-way, and SPJ benchmark
@@ -52,7 +52,7 @@
 //!    `csqp_verify::memo::check_memo` over the service's memo
 //!    (fingerprints re-derive from witnesses, plans stay Table-1
 //!    conformant, generations and costs are sane).
-//! 7. **Catalog drift** (`--catalog`) — feed 256 seeded DS/QS/HY
+//! 7. **Catalog drift** — feed 256 seeded DS/QS/HY
 //!    requests through `QueryService::catalog_verdict`, the server's
 //!    own drift model, with a seeded catalog-fault plan armed (withheld,
 //!    torn, reordered, poisoned deliveries), twice on fresh services,
@@ -63,7 +63,7 @@
 //!    recompute; and plant three seeded mutants (over-lag fresh serve,
 //!    applied epoch regression, lag misaccounting), each of which must
 //!    be caught with its typed diagnostic.
-//! 8. **Bound soundness** (`--bounds`) — derive guaranteed worst-case
+//! 8. **Bound soundness** — derive guaranteed worst-case
 //!    intermediate-size bounds (`csqp_verify::bounds`) for every
 //!    optimizer-produced plan across all policies × objectives and for
 //!    seeded random-plan sweeps, asserting the engine's materialized
@@ -96,9 +96,6 @@ struct Args {
     sessions: u8,
     protocol_only: bool,
     system_only: bool,
-    memo_only: bool,
-    catalog_only: bool,
-    bounds_only: bool,
     budget_secs: Option<f64>,
 }
 
@@ -111,9 +108,6 @@ fn parse_args() -> Args {
         sessions: 3,
         protocol_only: false,
         system_only: false,
-        memo_only: false,
-        catalog_only: false,
-        bounds_only: false,
         budget_secs: None,
     };
     let mut it = std::env::args().skip(1);
@@ -131,9 +125,6 @@ fn parse_args() -> Args {
             "--sessions" => args.sessions = val("--sessions") as u8,
             "--protocol" => args.protocol_only = true,
             "--system" => args.system_only = true,
-            "--memo" => args.memo_only = true,
-            "--catalog" => args.catalog_only = true,
-            "--bounds" => args.bounds_only = true,
             "--budget-secs" => {
                 args.budget_secs = Some(
                     it.next()
@@ -144,8 +135,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 println!(
                     "usage: csqp-check [--plans N] [--servers M] [--seed S] \
-                     [--protocol] [--system] [--memo] [--catalog] [--bounds] \
-                     [--sessions N] [--depth D] [--budget-secs S]"
+                     [--protocol] [--system] [--sessions N] [--depth D] [--budget-secs S]"
                 );
                 std::process::exit(0);
             }
@@ -172,11 +162,7 @@ fn main() -> ExitCode {
     let args = parse_args();
     let mut failures = 0usize;
 
-    let full = !args.protocol_only
-        && !args.system_only
-        && !args.memo_only
-        && !args.catalog_only
-        && !args.bounds_only;
+    let full = !args.protocol_only && !args.system_only;
     if full {
         failures += positive_sweep(&args);
         failures += optimizer_traces(&args);
@@ -188,13 +174,9 @@ fn main() -> ExitCode {
     if full || args.system_only {
         failures += system_model_check(&args);
     }
-    if full || args.memo_only {
+    if full {
         failures += memo_consistency(&args);
-    }
-    if full || args.catalog_only {
         failures += catalog_consistency(&args);
-    }
-    if full || args.bounds_only {
         failures += bounds_soundness(&args);
     }
 

@@ -5,7 +5,7 @@
 //! cargo run --release --bin csqp-serve -- [--addr HOST:PORT] [--servers N]
 //!     [--workers N] [--queue N] [--high-water N] [--placement-seed S]
 //!     [--pipeline-depth N] [--event-threads N] [--memo-bytes N]
-//!     [--no-memo] [--catalog-lag N] [--mem-budget PAGES] [--seconds T]
+//!     [--no-memo] [--mem-budget PAGES] [--seconds T]
 //! ```
 //!
 //! `--high-water N` sets the admission high-water mark: past N in-flight
@@ -19,12 +19,10 @@
 //! mem-bound`); when even the QS plan cannot fit, the query is rejected
 //! with the retryable `mem-bound-exceeded` error. Off by default.
 //!
-//! `--catalog-lag N` sets the catalog staleness bound: the most
-//! coordinator epochs a shard's catalog epoch may trail while its
-//! queries still serve fresh (default 3). Past the bound, queries take
-//! the typed degradation path — QS downgrade with `stale-catalog`, or a
-//! typed reject with a retry hint. The bound only matters once catalog
-//! faults drive the epochs (`csqp-load --chaos --catalog-faults`).
+//! The catalog drift model (DESIGN.md §14) stays inert here: only
+//! catalog-propagation faults move the epochs, and those are armed by
+//! the serve integration tests and `csqp-check`, never by this binary,
+//! so its staleness bound (`ServerConfig::catalog_lag`) is not a flag.
 //!
 //! `--memo-bytes N` bounds the shared site-selection memo (default
 //! 64 MiB); `--no-memo` disables it entirely. Served results are
@@ -39,8 +37,8 @@
 //!
 //! Without `--seconds` the server runs until killed, printing a metrics
 //! line every 10 seconds; with it, the server shuts down gracefully after
-//! `T` seconds and prints the final STATS snapshot (the mode the CI smoke
-//! test uses).
+//! `T` seconds and prints the final STATS snapshot (the mode
+//! `csqp-benchmark` runs its server child in).
 
 use std::process::ExitCode;
 use std::time::Duration;
@@ -86,9 +84,6 @@ fn parse_args() -> Args {
                 args.config.memo_bytes = num(&raw("--memo-bytes"), "--memo-bytes") as usize
             }
             "--no-memo" => args.config.memo = false,
-            "--catalog-lag" => {
-                args.config.catalog_lag = num(&raw("--catalog-lag"), "--catalog-lag")
-            }
             "--mem-budget" => {
                 args.config.mem_budget_pages = Some(num(&raw("--mem-budget"), "--mem-budget"))
             }
@@ -104,7 +99,7 @@ fn parse_args() -> Args {
                     "usage: csqp-serve [--addr HOST:PORT] [--servers N] [--workers N] \
                      [--queue N] [--high-water N] [--placement-seed S] \
                      [--pipeline-depth N] [--event-threads N] [--memo-bytes N] \
-                     [--no-memo] [--catalog-lag N] [--mem-budget PAGES] [--seconds T]"
+                     [--no-memo] [--mem-budget PAGES] [--seconds T]"
                 );
                 std::process::exit(0);
             }
